@@ -182,9 +182,9 @@ def _merge_config(args: argparse.Namespace) -> GridConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     config.validate()
-    os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     grid = ThreadedGrid(config) if args.parallel else DeterministicGrid(config)
+    os.makedirs(args.out, exist_ok=True)
     grid.run()
     samples = grid.sample_end_state()
     duration = time.perf_counter() - started

@@ -62,6 +62,9 @@ class GridConfig:
     treatment: Treatment = field(default_factory=Treatment)
 
     RECEIVE_CAPACITY = 4  # migrants accumulated before a stage fires
+    # The engine ranks candidates by tie keys that carry the candidate's
+    # column in 11 spare bits, so a tournament holds at most 2**11 - 1.
+    MAX_TOURNAMENT = 2047
 
     @property
     def n_pes(self) -> int:
@@ -77,8 +80,10 @@ class GridConfig:
             raise ConfigError("population per PE must be positive")
         if self.generations < 0:
             raise ConfigError("generations must be non-negative")
-        if self.tournament_size < 1:
-            raise ConfigError("tournament size must be positive")
+        if not 1 <= self.tournament_size <= self.MAX_TOURNAMENT:
+            raise ConfigError(
+                f"tournament size must be 1..{self.MAX_TOURNAMENT}, got {self.tournament_size}"
+            )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.sample_per_pe < 1:

@@ -24,7 +24,9 @@ A generation step, in pinned order:
 Random draws come from one counter-based stream per PE, consumed in the
 order above, plus a dedicated transport stream for loss, so identical
 configurations replay identically and a per-PE threaded execution of
-the same protocol sees the same values.
+the same protocol sees the same values.  A stage may take its
+consecutive draws from the same streams in one call and split the
+result, since a stream's cursor positions are contiguous either way.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ DIRECTIONS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 OPPOSITE = (2, 3, 0, 1)
 
 PRUNE_INTERVAL = 128
+
+# Low bits of a tie draw that its to_unit uniform ignores; the tournament
+# stores the candidate's column there.
+_TIE_LOW = np.uint64(0x7FF)
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,16 @@ class DeterministicGrid:
         self.bank = streams.StreamBank(config.seed, P + 1)
         self._transport_stream = P
         self._all = np.arange(P)
-        self._rows = self._all[:, None]
+        self._lane_pe = np.repeat(self._all, K)
+        self._row_base = (self._all * K)[:, None]  # flat index of each PE's lane 0
+        n = config.tournament_size
+        # Flat offset of each lane's first candidate in the tournament draws.
+        self._cand_base = self._all[:, None] * (2 * K * n) + np.arange(K) * n
+        self._tie_cols = np.tile(np.arange(n, dtype=np.uint64), K)  # j of each tie draw
+        # Per-rank deposit lookups, built on first use and grown on demand.
+        self._rank_slot = np.empty(0, dtype=np.int64)
+        self._rank_stored = np.empty(0, dtype=bool)
+        self._rank_mask = np.empty(0, dtype=np.uint64)
 
         w = config.differentia_bits
         if w == 1 and config.slot_count <= 64:
@@ -111,9 +126,8 @@ class DeterministicGrid:
         self.tracker: LineageTracker | None = None
         if config.track_perfect:
             self.tracker = LineageTracker()
-            pes = np.repeat(self._all, K)
             founders = self.tracker.record_cohort(
-                np.full(P * K, NO_PARENT), np.zeros(P * K, np.int64), pes
+                np.full(P * K, NO_PARENT), np.zeros(P * K, np.int64), self._lane_pe
             )
             self.pop["gid"] = founders.reshape(P, K)
 
@@ -193,68 +207,99 @@ class DeterministicGrid:
     def _tournament(self) -> None:
         cfg = self.config
         P, K, n = cfg.n_pes, cfg.population, cfg.tournament_size
-        cand = streams.to_index(self.bank.draw(self._all, K * n), K).reshape(P, K, n)
-        ties = streams.to_unit(self.bank.draw(self._all, K * n)).reshape(P, K, n)
+        L, KN = P * K, K * n
+        draws = self.bank.draw(self._all, 2 * KN)  # candidates, then ties
+        # Candidate j's key: the top 53 bits of its tie draw, which order
+        # exactly as its to_unit uniform does, over TIE_LOW - j in the low
+        # bits.  The largest key is the highest tie, the first on equality.
+        key = draws[:, KN:] | _TIE_LOW
+        key -= self._tie_cols
+        key = key.reshape(L, n)
         if "fit" in self.pop:
-            f = self.pop["fit"][self._all[:, None, None], cand]
-        else:
-            f = np.zeros((P, K, n), dtype=np.float32)
-        best = f.max(axis=2, keepdims=True)
-        score = np.where(f == best, ties, -1.0)
-        col = score.argmax(axis=2)
-        winner = np.take_along_axis(cand, col[:, :, None], axis=2)[:, :, 0]
-        self.pop = {name: arr[self._rows, winner] for name, arr in self.pop.items()}
+            cand = streams.to_index(draws[:, :KN], K)
+            cand += self._row_base
+            fit = self.pop["fit"].reshape(-1).take(cand).reshape(L, n)
+            best = fit[:, 0]
+            for j in range(1, n):
+                best = np.maximum(best, fit[:, j])
+            key *= fit == best[:, None]  # only the fittest stay in the running
+        top = key[:, 0]
+        for j in range(1, n):
+            top = np.maximum(top, key[:, j])
+        col = (_TIE_LOW - (top & _TIE_LOW)).astype(np.int64)
+        winner = streams.to_index(draws.reshape(-1).take(self._cand_base + col.reshape(P, K)), K)
+        winner += self._row_base
+        winner = winner.reshape(L)
+        self.pop = {
+            name: arr.reshape((L,) + arr.shape[2:]).take(winner, axis=0).reshape(arr.shape)
+            for name, arr in self.pop.items()
+        }
         if self.tracker is not None:
             parents = self.pop["gid"].ravel()
             ranks = self.pop["counter"].ravel()
-            pes = np.repeat(self._all, K)
-            self.pop["gid"] = self.tracker.record_cohort(parents, ranks, pes).reshape(
-                P, K
-            )
+            self.pop["gid"] = self.tracker.record_cohort(
+                parents, ranks, self._lane_pe
+            ).reshape(P, K)
 
     def _mutate(self) -> None:
         t = self.config.treatment
         if "fit" not in self.pop or t.mode == "neutral":
             return
         K = self.config.population
-        fit = self.pop["fit"]
-        gate = streams.to_unit(self.bank.draw(self._all, K))
-        u1 = streams.to_unit(self.bank.draw(self._all, K))
-        u2 = streams.to_unit(self.bank.draw(self._all, K))
-        mag = streams.normal_magnitudes(u1, u2) * t.deleterious_sigma
-        fit -= np.where(gate < t.deleterious_p, mag, 0.0).astype(np.float32)
+        fit = self.pop["fit"].reshape(-1)
+        passes = [(t.deleterious_p, -t.deleterious_sigma)]
         if t.mode == "adaptive":
-            gate = streams.to_unit(self.bank.draw(self._all, K))
-            u1 = streams.to_unit(self.bank.draw(self._all, K))
-            u2 = streams.to_unit(self.bank.draw(self._all, K))
-            mag = streams.normal_magnitudes(u1, u2) * t.beneficial_sigma
-            fit += np.where(gate < t.beneficial_p, mag, 0.0).astype(np.float32)
+            passes.append((t.beneficial_p, t.beneficial_sigma))
+        for p, sigma in passes:
+            draws = self.bank.draw(self._all, 3 * K)  # gate, u1, u2 per PE
+            hit = np.flatnonzero(streams.to_unit(draws[:, :K]) < p)
+            at = hit + (hit // K) * (2 * K) + K  # each hit lane's u1 in the flat draws
+            u1 = streams.to_unit(draws.reshape(-1)[at])
+            u2 = streams.to_unit(draws.reshape(-1)[at + K])
+            # Lanes whose gate stays shut would change by 0.0, which leaves
+            # a float32 fitness that is never -0.0 exactly as it is.
+            fit[hit] += (streams.normal_magnitudes(u1, u2) * sigma).astype(np.float32)
+
+    def _rank_tables(self, top: int) -> None:
+        """Make the per-rank deposit lookups cover ranks 0..top."""
+        have = len(self._rank_slot)
+        if top < have:
+            return
+        cfg = self.config
+        size = max(cfg.generations + 1, 2 * have, top + 1)
+        slots, stored = site_array(cfg.policy, np.arange(size, dtype=np.int64), cfg.slot_count)
+        self._rank_slot, self._rank_stored = slots, stored
+        if self.pop["surf"].ndim == 2:
+            # A zero mask leaves a discarded rank's 1-bit surface as it is.
+            bit = np.uint64(1) << np.where(stored, slots, 0).astype(np.uint64)
+            self._rank_mask = np.where(stored, bit, np.uint64(0))
 
     def _deposit(self) -> None:
         cfg = self.config
-        P, K, S = cfg.n_pes, cfg.population, cfg.slot_count
+        K, S = cfg.population, cfg.slot_count
         counters = self.pop["counter"]
-        if (counters >= self.layout.counter_capacity - 1).any():
+        top = int(counters.max())
+        if top >= self.layout.counter_capacity - 1:
             raise OverflowError(
                 "deposit counter would overflow the genome layout; "
                 "shorten the run or widen the counter field"
             )
-        slots, stored = site_array(cfg.policy, counters.ravel(), S)
-        slots = slots.reshape(P, K)
-        stored = stored.reshape(P, K)
+        self._rank_tables(top)
         draws = self.bank.draw(self._all, K)
-        if self.pop["surf"].ndim == 2:
-            bits = draws & np.uint64(1)
-            shift = slots.astype(np.uint64)
-            mask = np.uint64(1) << shift
-            surf = self.pop["surf"]
-            updated = (surf & ~mask) | (bits << shift)
-            self.pop["surf"] = np.where(stored, updated, surf)
+        surf = self.pop["surf"]
+        if surf.ndim == 2:
+            mask = self._rank_mask.take(counters)
+            draws &= np.uint64(1)
+            draws *= mask  # the new bit, already in place
+            np.invert(mask, out=mask)
+            surf &= mask
+            surf |= draws
         else:
             vals = (draws & np.uint64((1 << cfg.differentia_bits) - 1)).astype(np.uint8)
-            pe_i, lane_i = np.nonzero(stored)
-            self.pop["surf"][pe_i, lane_i, slots[stored]] = vals[stored]
-        self.pop["counter"] = counters + 1
+            stored = self._rank_stored.take(counters)
+            flat = (self._row_base + np.arange(K)) * S + self._rank_slot.take(counters)
+            np.put(surf, flat[stored], vals[stored])
+        counters += 1
 
     def step_cycle(self) -> None:
         self._transport_tick()

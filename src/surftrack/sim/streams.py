@@ -40,13 +40,32 @@ def mix64(x: int) -> int:
     return x
 
 
+_MIX_BLOCK = 1 << 14  # elements per cache-resident pass of the finalizer
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    """Splitmix64 finalizer, element-wise, in place on a contiguous uint64 array.
+
+    Other inputs are first converted to a fresh uint64 array.  The array
+    is mixed block by block with one scratch buffer, so each block stays
+    in cache through all seven passes.  Returns the mixed array.
+    """
+    x = np.ascontiguousarray(x, dtype=np.uint64)
+    flat = x.reshape(-1)
+    scratch = np.empty(min(flat.size, _MIX_BLOCK), dtype=np.uint64)
+    for start in range(0, flat.size, _MIX_BLOCK):
+        v = flat[start : start + _MIX_BLOCK]
+        t = scratch[: v.size]
+        np.right_shift(v, _S30, out=t)
+        v ^= t
+        v *= _M1
+        np.right_shift(v, _S27, out=t)
+        v ^= t
+        v *= _M2
+        np.right_shift(v, _S31, out=t)
+        v ^= t
     return x
 
 
@@ -65,8 +84,14 @@ def to_unit(values: np.ndarray) -> np.ndarray:
 
 
 def to_index(values: np.ndarray, bound: int) -> np.ndarray:
-    """Map uint64 draws to int64 indices uniform over [0, bound)."""
-    return (to_unit(values) * bound).astype(np.int64)
+    """Map uint64 draws to int64 indices uniform over [0, bound).
+
+    Equal to ``(to_unit(values) * bound)`` truncated: scaling by a power
+    of two is exact, so folding 2**-53 into the bound rounds the same.
+    """
+    u = (values >> np.uint64(11)).astype(np.float64)
+    u *= bound * _TWO_NEG53
+    return u.astype(np.int64)
 
 
 def normal_magnitudes(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -98,8 +123,10 @@ class StreamBank:
         """
         keys = self.keys[streams]
         pos = self.positions[streams]
-        offsets = np.arange(count, dtype=np.uint64)
-        states = keys[:, None] + (pos[:, None] + offsets[None, :]) * _U64_GOLDEN
+        # key + (pos + i) * GOLDEN, split so the (n, count) grid is one add.
+        steps = np.arange(count, dtype=np.uint64)
+        steps *= _U64_GOLDEN
+        states = (keys + pos * _U64_GOLDEN)[:, None] + steps[None, :]
         self.positions[streams] = pos + np.uint64(count)
         return _mix64_array(states)
 

@@ -25,9 +25,14 @@ import numpy as np
 from ..surface.genome import GenomeFields
 from ..surface.sites import site_array
 from . import streams
-from .config import GridConfig
+from .config import ConfigError, GridConfig
 from .engine import OPPOSITE, SampledGenome, neighbor_table
 from .tracker import NO_PARENT, LineageTracker
+
+
+#: Largest grid the thread-per-PE engine accepts: it starts one OS thread
+#: per PE, so the PE count is also its thread count.
+MAX_THREADED_PES = 256
 
 
 class _Wire:
@@ -217,6 +222,11 @@ class ThreadedGrid:
 
     def __init__(self, config: GridConfig) -> None:
         config.validate()
+        if config.n_pes > MAX_THREADED_PES:
+            raise ConfigError(
+                f"a {config.width}x{config.height} grid needs {config.n_pes} threads; "
+                f"thread-per-PE execution is capped at {MAX_THREADED_PES} PEs"
+            )
         self.config = config
         P = config.n_pes
         self.nbr = neighbor_table(config.width, config.height, config.torus)

@@ -84,6 +84,18 @@ def test_parallel_simulate_is_labeled_in_the_manifest(tmp_path):
     assert read_manifest(str(tmp_path / "manifest.json"))["mode"] == "threads"
 
 
+def test_parallel_simulate_refuses_grids_past_the_thread_cap(tmp_path, capsys):
+    from surftrack.sim.threads import MAX_THREADED_PES
+
+    grid = f"{MAX_THREADED_PES + 1}x1"
+    out = tmp_path / "run"
+    rc = main(["simulate", "--grid", grid, "--generations", "1", "--parallel", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert grid in err and f"capped at {MAX_THREADED_PES}" in err
+    assert not out.exists()
+
+
 def test_config_file_reruns_are_byte_identical(tmp_path):
     assert simulate_into(tmp_path / "one") == 0
     rc = main(

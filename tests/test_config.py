@@ -37,6 +37,7 @@ def test_defaults_validate():
         dict(policy="hybrid", slot_count=4),
         dict(differentia_bits=0),
         dict(differentia_bits=16),
+        dict(tournament_size=GridConfig.MAX_TOURNAMENT + 1),
     ],
 )
 def test_rejections(kw):

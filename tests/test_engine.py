@@ -1,11 +1,13 @@
 """Behavior of the deterministic grid engine."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
 from surftrack.phylo.reconstruct import estimate_mrca_range
+from surftrack.sim import streams
 from surftrack.sim.config import GridConfig, Treatment
 from surftrack.sim.engine import DeterministicGrid, neighbor_table
 from surftrack.surface.annotation import SurfaceAnnotation
@@ -78,6 +80,68 @@ def test_seed_changes_the_outcome():
     a = run_grid(seed=0)
     b = run_grid(seed=1)
     assert not np.array_equal(a.pop["surf"], b.pop["surf"])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(),
+        dict(layout="fitness", policy="steady", treatment=Treatment(mode="adaptive")),
+        dict(
+            layout="fitness",
+            policy="hybrid",
+            differentia_bits=8,
+            slot_count=16,
+            track_perfect=True,
+            treatment=Treatment(mode="purifying"),
+        ),
+    ],
+    ids=["tagged-tilted", "adaptive-steady", "purifying-hybrid-8bit-tracked"],
+)
+def test_running_past_the_configured_generations_continues_the_run(overrides):
+    """run(a) then run(b) on a grid configured for a generations equals one
+    run of a + b: counters outgrow the configured length mid-run."""
+    a, b = 30, 90
+    split = DeterministicGrid(GridConfig(width=3, height=3, generations=a, population=8, **overrides))
+    split.run(a)
+    split.run(b)
+    whole = run_grid(generations=a + b, **overrides)
+    assert split.cycle == whole.cycle == a + b
+    for name in whole.pop:
+        assert np.array_equal(split.pop[name], whole.pop[name]), name
+
+
+def test_tournament_follows_the_reference_selection_rule():
+    """Best fitness wins; equal fitness goes to the highest tie uniform."""
+    P, K, n = 4, 12, 5
+    eng = DeterministicGrid(
+        GridConfig(width=2, height=2, generations=1, population=K, layout="fitness", seed=4)
+    )
+    eng.pop["fit"][:] = np.random.default_rng(0).integers(0, 3, size=(P, K))
+    eng.pop["counter"][:] = np.arange(K)  # lane labels
+    bank = copy.deepcopy(eng.bank)
+    cand = streams.to_index(bank.draw(np.arange(P), K * n), K).reshape(P, K, n)
+    ties = streams.to_unit(bank.draw(np.arange(P), K * n)).reshape(P, K, n)
+    f = eng.pop["fit"][np.arange(P)[:, None, None], cand]
+    score = np.where(f == f.max(axis=2, keepdims=True), ties, -1.0)
+    winner = np.take_along_axis(cand, score.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+    eng._tournament()
+    assert np.array_equal(eng.pop["counter"], winner)
+
+
+def test_tournament_keeps_the_first_of_equal_tie_uniforms():
+    """Tie draws that differ only below the 53 bits to_unit keeps are equal
+    ties, and the earliest such candidate wins."""
+    K = 4
+    eng = DeterministicGrid(GridConfig(width=1, height=1, generations=1, population=K))
+    eng.pop["counter"][:] = np.arange(K)  # lane labels
+    cands = [0, 1, 2, 3, 0]  # to_index(c << 62, 4) == c
+    ties = [(7 << 11) | 0x7FF, 9 << 11, (9 << 11) | 0x400, (3 << 11) | 0x7FF, (9 << 11) | 0x7FF]
+    lane = [c << 62 for c in cands]
+    row = np.array(lane * K + ties * K, dtype=np.uint64)[None, :]
+    eng.bank.draw = lambda streams, count: row.copy()
+    eng._tournament()
+    assert eng.pop["counter"].tolist() == [[1] * K]
 
 
 def test_zero_generations_is_a_fresh_machine():

@@ -1,0 +1,113 @@
+"""Pinned artifact hashes: the engine's random-draw protocol must not drift.
+
+Each case is a tiny run rendered the way ``surftrack simulate`` writes
+it.  The sha256 of ``genomes.csv`` (and of ``perfect_tree.csv`` for
+tracked runs) is pinned, so any change to which draws are taken, in
+what order, or how they are used shows up here.  Together the cases
+cover every branch of the tournament, mutation and deposit stages:
+tagged and fitness layouts, all-tie tournaments, each treatment and
+policy, the 8-bit surface, in-transit loss, the torus and tracking.
+
+To regenerate after a deliberate protocol change, run this module as a
+script with the package on the path; it prints the new table.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from surftrack.phylo.serialize import export_alife_csv
+from surftrack.sim.config import GridConfig, Treatment
+from surftrack.sim.engine import DeterministicGrid
+from surftrack.sim.output import genomes_csv_text
+
+CASES = {
+    "tagged-neutral": dict(),
+    "fitness-neutral": dict(layout="fitness", population=12),
+    "purifying-steady": dict(
+        layout="fitness", policy="steady", treatment=Treatment(mode="purifying")
+    ),
+    "adaptive-hybrid": dict(
+        layout="fitness",
+        policy="hybrid",
+        population=10,
+        treatment=Treatment(mode="adaptive", beneficial_p=0.05),
+    ),
+    "purifying-8bit": dict(
+        layout="fitness",
+        policy="hybrid",
+        differentia_bits=8,
+        slot_count=16,
+        treatment=Treatment(mode="purifying"),
+    ),
+    "tagged-lossy-torus-tracked": dict(
+        loss_rate=0.3, torus=True, track_perfect=True, population=6
+    ),
+    "adaptive-steady-tracked": dict(
+        layout="fitness",
+        policy="steady",
+        slot_count=32,
+        track_perfect=True,
+        loss_rate=0.1,
+        treatment=Treatment(mode="adaptive"),
+    ),
+}
+
+GOLDEN = {
+    "tagged-neutral": {
+        "genomes.csv": "cead9947d773ea959ccfbcb84848086035af1392fa3fd9a0829e0a999423c5f9",
+    },
+    "fitness-neutral": {
+        "genomes.csv": "a521b5f46a2ef792f9f8321b582f93d682d71224cf8cf25004c70cb36a03c472",
+    },
+    "purifying-steady": {
+        "genomes.csv": "0dda369aa6673831fc6eb307c7c438fc4dc539deb3b8d54fcc902f58077a7d11",
+    },
+    "adaptive-hybrid": {
+        "genomes.csv": "824761dfd2cd239f6d05f0f091c6ae268c975c0aa5021cbd3e8428aafd8fcb93",
+    },
+    "purifying-8bit": {
+        "genomes.csv": "9d88b6488d979838a4d9299fc489c8724217514af18331169b10fccaa9c84d40",
+    },
+    "tagged-lossy-torus-tracked": {
+        "genomes.csv": "782d47fe25afc271c0153d18c7bb782a7693b5f5c0961625bcf94aad086bc2d1",
+        "perfect_tree.csv": "8f36bedc8ba048c11291dc28a7d731c6da58fd8e67278ae86ff41468e483ca47",
+    },
+    "adaptive-steady-tracked": {
+        "genomes.csv": "c3979faa1e3b48178b50632903b084e7557e9253cbae93ecf966b64b9a8c01e4",
+        "perfect_tree.csv": "cb88b1590d9b6756b8b12d93078b9d168a0c78dd7953b25e09d0ed7b224aeeb2",
+    },
+}
+
+
+def case_config(name: str) -> GridConfig:
+    base = dict(width=3, height=3, generations=150, population=8, seed=5, sample_per_pe=3)
+    base.update(CASES[name])
+    return GridConfig(**base)
+
+
+def artifact_hashes(config: GridConfig) -> dict[str, str]:
+    grid = DeterministicGrid(config)
+    grid.run()
+    samples = grid.sample_end_state()
+    texts = {"genomes.csv": genomes_csv_text(config.genome_layout(), samples)}
+    if grid.tracker is not None:
+        tree = grid.tracker.to_tree(
+            np.array([s.tracker_id for s in samples], dtype=np.int64),
+            [s.label for s in samples],
+            [s.fields.founder_tag for s in samples],
+        )
+        texts["perfect_tree.csv"] = export_alife_csv(tree)
+    return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifacts_match_pinned_hashes(name):
+    assert artifact_hashes(case_config(name)) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({name: artifact_hashes(case_config(name)) for name in CASES})

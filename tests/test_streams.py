@@ -45,6 +45,13 @@ def test_vectorized_finalizer_matches_scalar(xs):
     assert [int(v) for v in out] == [streams.mix64(x) for x in xs]
 
 
+def test_finalizer_matches_scalar_across_blocks():
+    xs = [(i * 0x9E3779B97F4A7C15 + 12345) % (1 << 64) for i in range(streams._MIX_BLOCK + 7)]
+    out = streams._mix64_array(np.array(xs, dtype=np.uint64))
+    for i in (0, streams._MIX_BLOCK - 1, streams._MIX_BLOCK, len(xs) - 1):
+        assert int(out[i]) == streams.mix64(xs[i])
+
+
 def test_draws_are_pure_functions_of_position():
     key = streams.stream_key(42, 7)
     a = [streams.raw_draw(key, i) for i in range(10)]
@@ -74,6 +81,16 @@ def test_to_index_covers_bound():
     vals = streams.ScalarStream(0, 0).draw(2000)
     idx = streams.to_index(vals, 7)
     assert set(int(i) for i in idx) == set(range(7))
+
+
+@given(
+    st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=50),
+    st.integers(1, 1 << 40),
+)
+def test_to_index_truncates_the_scaled_uniform(xs, bound):
+    vals = np.array(xs, dtype=np.uint64)
+    expected = (streams.to_unit(vals) * bound).astype(np.int64)
+    assert np.array_equal(streams.to_index(vals, bound), expected)
 
 
 def test_normal_magnitudes_nonnegative_and_spread():
@@ -108,6 +125,19 @@ def test_bank_advances_only_selected_cursors():
     bank.draw(np.array([1, 2]), 5)
     ref = streams.ScalarStream(0, 0)
     assert (bank.draw(np.array([0]), 2)[0] == ref.draw(2)).all()
+
+
+def test_one_long_draw_equals_consecutive_short_ones():
+    """A stage may fuse consecutive draws into one call and split it."""
+    ids = np.array([0, 2, 3])
+    fused = streams.StreamBank(seed=21, n_streams=4)
+    split = streams.StreamBank(seed=21, n_streams=4)
+    fused.draw(ids[:2], 3)
+    split.draw(ids[:2], 3)
+    whole = fused.draw(ids, 5 + 7)
+    parts = np.concatenate([split.draw(ids, 5), split.draw(ids, 7)], axis=1)
+    assert np.array_equal(whole, parts)
+    assert np.array_equal(fused.positions, split.positions)
 
 
 def test_draw_one_matches_batch():

@@ -1,11 +1,13 @@
 """Thread-per-PE execution against its lockstep fidelity contract."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from surftrack.sim.config import GridConfig, Treatment
+from surftrack.sim.config import ConfigError, GridConfig, Treatment
 from surftrack.sim.engine import DeterministicGrid
-from surftrack.sim.threads import ThreadedGrid
+from surftrack.sim.threads import MAX_THREADED_PES, ThreadedGrid
 
 
 def lone_pe_config(**overrides) -> GridConfig:
@@ -134,3 +136,13 @@ def test_fitness_layout_rejects_tag_queries():
     thr.run()
     with pytest.raises(ValueError, match="no founder tag"):
         thr.founder_tag_count()
+
+
+def test_grids_past_the_thread_cap_are_refused_before_any_thread_starts(monkeypatch):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    width = MAX_THREADED_PES + 1
+    with pytest.raises(ConfigError, match=rf"{width}x1 grid .* capped at {MAX_THREADED_PES} PEs"):
+        ThreadedGrid(GridConfig(width=width, height=1, generations=1, population=2))
+    ThreadedGrid(GridConfig(width=MAX_THREADED_PES, height=1, generations=1, population=2))
+    assert not started
