@@ -37,7 +37,6 @@ from .sim.output import (
     read_manifest,
     write_manifest,
 )
-from .sim.threads import ThreadedGrid
 from .surface.annotation import SurfaceAnnotation
 from .surface.genome import GenomeLayout
 from .surface.sites import POLICIES
@@ -83,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="record exact lineages and write perfect_tree.csv",
     )
     sim.add_argument(
-        "--parallel", action="store_true", help="thread-per-PE execution (not bit-reproducible)"
+        "--parallel",
+        action="store_true",
+        help="asynchronous PEs: seeded step-or-stall schedule with bounded neighbor lead",
     )
     sim.add_argument("--config", help="JSON config file; explicit flags override its keys")
     sim.add_argument("--out", required=True, help="output directory")
@@ -183,7 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     config.validate()
     started = time.perf_counter()
-    grid = ThreadedGrid(config) if args.parallel else DeterministicGrid(config)
+    grid = DeterministicGrid(config, asynchronous=args.parallel)
     os.makedirs(args.out, exist_ok=True)
     grid.run()
     samples = grid.sample_end_state()
@@ -204,13 +205,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             fh.write(export_alife_csv(tree))
         outputs["perfect_tree"] = "perfect_tree.csv"
 
-    mode = "threads" if args.parallel else "deterministic"
-    write_manifest(os.path.join(args.out, "manifest.json"), config, mode, outputs, duration)
+    mode = "asynchronous" if args.parallel else "deterministic"
+    stats = {
+        "cycles": grid.cycle,
+        "migrants_imported": int(grid.imported.sum()),
+        "migrants_exported": int(grid.exported.sum()),
+    }
+    write_manifest(
+        os.path.join(args.out, "manifest.json"), config, mode, outputs, duration, stats
+    )
     counters = [s.fields.counter for s in samples]
     print(
         f"simulated {config.width}x{config.height} grid for "
-        f"{config.generations} generations ({mode}, seed {config.seed}) "
-        f"in {duration:.2f}s"
+        f"{config.generations} generations in {grid.cycle} cycles "
+        f"({mode}, seed {config.seed}) in {duration:.2f}s"
     )
     print(
         f"wrote {len(samples)} genomes to {genomes_path} "

@@ -2,7 +2,6 @@
 
 from .config import ConfigError, GridConfig, Treatment
 from .engine import DeterministicGrid, SampledGenome
-from .threads import ThreadedGrid
 from .tracker import LineageTracker
 
 __all__ = [
@@ -11,6 +10,5 @@ __all__ = [
     "GridConfig",
     "LineageTracker",
     "SampledGenome",
-    "ThreadedGrid",
     "Treatment",
 ]

@@ -1,11 +1,15 @@
-"""Lockstep grid engine, batch-vectorized across processing elements.
+"""Grid engine, batch-vectorized across processing elements.
 
 The simulated machine is a rectangle of PEs, each owning a fixed-size
 population of genomes and four point-to-point links to its neighbors.
-Per cycle: a transport tick moves emigrants one hop, then every PE runs
-one generation step.  Within a cycle PE steps touch only their own
-population and buffers, so evaluating all PEs as numpy array slabs is
-exactly equivalent to stepping them one by one.
+Per cycle: a transport tick moves emigrants one hop, then PEs run one
+generation step.  In lockstep mode every PE steps every cycle.  In
+asynchronous mode a PE steps only when a draw from a dedicated schedule
+stream falls below STEP_P and it is fewer than MAX_NEIGHBOR_LEAD
+generations ahead of its slowest neighbor; otherwise it stalls for the
+cycle while transport keeps ticking.  Within a cycle PE steps touch only
+their own population and buffers, so evaluating the stepping PEs as
+numpy array slabs is exactly equivalent to stepping them one by one.
 
 A generation step, in pinned order:
 
@@ -22,11 +26,13 @@ A generation step, in pinned order:
 6. Deposit one fresh differentia per genome and bump its counter.
 
 Random draws come from one counter-based stream per PE, consumed in the
-order above, plus a dedicated transport stream for loss, so identical
-configurations replay identically and a per-PE threaded execution of
-the same protocol sees the same values.  A stage may take its
-consecutive draws from the same streams in one call and split the
-result, since a stream's cursor positions are contiguous either way.
+order above, plus a dedicated transport stream for loss and a schedule
+stream for the asynchronous mode, so identical configurations replay
+identically in either mode.  A PE's own draws depend only on how many
+steps it has taken, not on the cycle it takes them in, so a lone PE
+evolves identically in both modes.  A stage may take its consecutive
+draws from the same streams in one call and split the result, since a
+stream's cursor positions are contiguous either way.
 """
 
 from __future__ import annotations
@@ -47,6 +53,15 @@ DIRECTIONS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 OPPOSITE = (2, 3, 0, 1)
 
 PRUNE_INTERVAL = 128
+
+#: How many generations a PE may run ahead of its slowest neighbor in
+#: asynchronous mode.  Without a cap one PE could finish before its
+#: neighbors take a step and migration would dwindle to nothing; matching
+#: the receive stage depth keeps transfer pressure comparable to lockstep.
+MAX_NEIGHBOR_LEAD = 4
+
+#: Chance that an eligible PE steps in an asynchronous cycle.
+STEP_P = 0.5
 
 # Low bits of a tie draw that its to_unit uniform ignores; the tournament
 # stores the candidate's column there.
@@ -81,22 +96,30 @@ def neighbor_table(width: int, height: int, torus: bool) -> np.ndarray:
 
 
 class DeterministicGrid:
-    """Single-process, bit-reproducible execution of the grid protocol."""
+    """Single-process, bit-reproducible execution of the grid protocol.
 
-    def __init__(self, config: GridConfig) -> None:
+    ``asynchronous=True`` selects the seeded step-or-stall schedule
+    described in the module docstring instead of lockstep.
+    """
+
+    def __init__(self, config: GridConfig, asynchronous: bool = False) -> None:
         config.validate()
         self.config = config
+        self.asynchronous = asynchronous
         self.layout: GenomeLayout = config.genome_layout()
         P, K = config.n_pes, config.population
         R = GridConfig.RECEIVE_CAPACITY
         self.cycle = 0
+        self.generation = np.zeros(P, dtype=np.int64)  # steps taken by each PE
+        self._goal = 0  # the generation run() drives every PE to
 
         self.nbr = neighbor_table(config.width, config.height, config.torus)
         self.valid = self.nbr >= 0
-        self.bank = streams.StreamBank(config.seed, P + 1)
+        self.bank = streams.StreamBank(config.seed, P + 2)
         self._transport_stream = P
+        self._schedule_stream = P + 1
         self._all = np.arange(P)
-        self._lane_pe = np.repeat(self._all, K)
+        self._everyone = np.ones(P, dtype=bool)
         self._row_base = (self._all * K)[:, None]  # flat index of each PE's lane 0
         n = config.tournament_size
         # Flat offset of each lane's first candidate in the tournament draws.
@@ -127,7 +150,7 @@ class DeterministicGrid:
         if config.track_perfect:
             self.tracker = LineageTracker()
             founders = self.tracker.record_cohort(
-                np.full(P * K, NO_PARENT), np.zeros(P * K, np.int64), self._lane_pe
+                np.full(P * K, NO_PARENT), np.zeros(P * K, np.int64), np.repeat(self._all, K)
             )
             self.pop["gid"] = founders.reshape(P, K)
 
@@ -178,11 +201,19 @@ class DeterministicGrid:
             self.emig_full[d, src] = False
             self.send_done[d, src] = True
 
-    def _inject_migrants(self) -> None:
+    def _schedule(self) -> np.ndarray:
+        """Mask of the PEs that step this asynchronous cycle."""
+        gen = self.generation
+        nbr_gen = np.where(self.valid, gen[self.nbr], np.iinfo(np.int64).max)
+        within_lead = gen - MAX_NEIGHBOR_LEAD < nbr_gen.min(axis=0)
+        u = streams.to_unit(self.bank.draw_one(self._schedule_stream, self.config.n_pes))
+        return (gen < self._goal) & within_lead & (u < STEP_P)
+
+    def _inject_migrants(self, active: np.ndarray) -> None:
         K = self.config.population
         R = GridConfig.RECEIVE_CAPACITY
         for d in range(4):
-            sel = np.nonzero(self.stage_n[d] >= R)[0]
+            sel = np.nonzero((self.stage_n[d] >= R) & active)[0]
             if not sel.size:
                 continue
             idx = streams.to_index(self.bank.draw(sel, R), K)
@@ -192,10 +223,10 @@ class DeterministicGrid:
             self.stage_n[d, sel] = 0
             self.imported[sel] += R
 
-    def _refill_emigrants(self) -> None:
+    def _refill_emigrants(self, active: np.ndarray) -> None:
         K = self.config.population
         for d in range(4):
-            sel = np.nonzero(self.send_done[d] & self.valid[d])[0]
+            sel = np.nonzero(self.send_done[d] & self.valid[d] & active)[0]
             if not sel.size:
                 continue
             idx = streams.to_index(self.bank.draw(sel, 1)[:, 0], K)
@@ -204,21 +235,28 @@ class DeterministicGrid:
             self.emig_full[d, sel] = True
             self.send_done[d, sel] = False
 
-    def _tournament(self) -> None:
+    # The three kernel stages below update ``pop``, a dict of (m, K, ...)
+    # population arrays, in place; row i belongs to PE ``ids[i]`` and draws
+    # from its stream.  Lockstep passes the whole grid, so that path never
+    # gathers or scatters.
+
+    def _tournament(self, pop: dict[str, np.ndarray], ids: np.ndarray) -> None:
         cfg = self.config
-        P, K, n = cfg.n_pes, cfg.population, cfg.tournament_size
-        L, KN = P * K, K * n
-        draws = self.bank.draw(self._all, 2 * KN)  # candidates, then ties
+        K, n = cfg.population, cfg.tournament_size
+        m = len(ids)
+        L, KN = m * K, K * n
+        row_base = self._row_base[:m]
+        draws = self.bank.draw(ids, 2 * KN)  # candidates, then ties
         # Candidate j's key: the top 53 bits of its tie draw, which order
         # exactly as its to_unit uniform does, over TIE_LOW - j in the low
         # bits.  The largest key is the highest tie, the first on equality.
         key = draws[:, KN:] | _TIE_LOW
         key -= self._tie_cols
         key = key.reshape(L, n)
-        if "fit" in self.pop:
+        if "fit" in pop:
             cand = streams.to_index(draws[:, :KN], K)
-            cand += self._row_base
-            fit = self.pop["fit"].reshape(-1).take(cand).reshape(L, n)
+            cand += row_base
+            fit = pop["fit"].reshape(-1).take(cand).reshape(L, n)
             best = fit[:, 0]
             for j in range(1, n):
                 best = np.maximum(best, fit[:, j])
@@ -226,32 +264,29 @@ class DeterministicGrid:
         top = key[:, 0]
         for j in range(1, n):
             top = np.maximum(top, key[:, j])
-        col = (_TIE_LOW - (top & _TIE_LOW)).astype(np.int64)
-        winner = streams.to_index(draws.reshape(-1).take(self._cand_base + col.reshape(P, K)), K)
-        winner += self._row_base
+        col = (_TIE_LOW - (top & _TIE_LOW)).astype(np.int64).reshape(m, K)
+        winner = streams.to_index(draws.reshape(-1).take(self._cand_base[:m] + col), K)
+        winner += row_base
         winner = winner.reshape(L)
-        self.pop = {
-            name: arr.reshape((L,) + arr.shape[2:]).take(winner, axis=0).reshape(arr.shape)
-            for name, arr in self.pop.items()
-        }
+        for name, arr in pop.items():
+            pop[name] = arr.reshape((L,) + arr.shape[2:]).take(winner, axis=0).reshape(arr.shape)
         if self.tracker is not None:
-            parents = self.pop["gid"].ravel()
-            ranks = self.pop["counter"].ravel()
-            self.pop["gid"] = self.tracker.record_cohort(
-                parents, ranks, self._lane_pe
-            ).reshape(P, K)
+            parents = pop["gid"].ravel()
+            ranks = pop["counter"].ravel()
+            lane_pe = np.repeat(ids, K)
+            pop["gid"] = self.tracker.record_cohort(parents, ranks, lane_pe).reshape(m, K)
 
-    def _mutate(self) -> None:
+    def _mutate(self, pop: dict[str, np.ndarray], ids: np.ndarray) -> None:
         t = self.config.treatment
-        if "fit" not in self.pop or t.mode == "neutral":
+        if "fit" not in pop or t.mode == "neutral":
             return
         K = self.config.population
-        fit = self.pop["fit"].reshape(-1)
+        fit = pop["fit"].reshape(-1)
         passes = [(t.deleterious_p, -t.deleterious_sigma)]
         if t.mode == "adaptive":
             passes.append((t.beneficial_p, t.beneficial_sigma))
         for p, sigma in passes:
-            draws = self.bank.draw(self._all, 3 * K)  # gate, u1, u2 per PE
+            draws = self.bank.draw(ids, 3 * K)  # gate, u1, u2 per PE
             hit = np.flatnonzero(streams.to_unit(draws[:, :K]) < p)
             at = hit + (hit // K) * (2 * K) + K  # each hit lane's u1 in the flat draws
             u1 = streams.to_unit(draws.reshape(-1)[at])
@@ -274,10 +309,10 @@ class DeterministicGrid:
             bit = np.uint64(1) << np.where(stored, slots, 0).astype(np.uint64)
             self._rank_mask = np.where(stored, bit, np.uint64(0))
 
-    def _deposit(self) -> None:
+    def _deposit(self, pop: dict[str, np.ndarray], ids: np.ndarray) -> None:
         cfg = self.config
         K, S = cfg.population, cfg.slot_count
-        counters = self.pop["counter"]
+        counters = pop["counter"]
         top = int(counters.max())
         if top >= self.layout.counter_capacity - 1:
             raise OverflowError(
@@ -285,8 +320,8 @@ class DeterministicGrid:
                 "shorten the run or widen the counter field"
             )
         self._rank_tables(top)
-        draws = self.bank.draw(self._all, K)
-        surf = self.pop["surf"]
+        draws = self.bank.draw(ids, K)
+        surf = pop["surf"]
         if surf.ndim == 2:
             mask = self._rank_mask.take(counters)
             draws &= np.uint64(1)
@@ -297,24 +332,39 @@ class DeterministicGrid:
         else:
             vals = (draws & np.uint64((1 << cfg.differentia_bits) - 1)).astype(np.uint8)
             stored = self._rank_stored.take(counters)
-            flat = (self._row_base + np.arange(K)) * S + self._rank_slot.take(counters)
+            flat = (self._row_base[: len(ids)] + np.arange(K)) * S + self._rank_slot.take(counters)
             np.put(surf, flat[stored], vals[stored])
         counters += 1
 
     def step_cycle(self) -> None:
+        """One transport tick, then a generation step on each PE that steps."""
         self._transport_tick()
-        self._inject_migrants()
-        self._refill_emigrants()
-        self._tournament()
-        self._mutate()
-        self._deposit()
+        active = self._schedule() if self.asynchronous else self._everyone
+        self._inject_migrants(active)
+        self._refill_emigrants(active)
+        if not self.asynchronous:
+            self._tournament(self.pop, self._all)
+            self._mutate(self.pop, self._all)
+            self._deposit(self.pop, self._all)
+        elif active.any():
+            ids = np.flatnonzero(active)
+            pop = {name: arr[ids] for name, arr in self.pop.items()}
+            self._tournament(pop, ids)
+            self._mutate(pop, ids)
+            self._deposit(pop, ids)
+            for name, arr in self.pop.items():
+                arr[ids] = pop[name]
+        self.generation += active
         self.cycle += 1
         if self.tracker is not None and self.cycle % PRUNE_INTERVAL == 0:
             self.tracker.prune(self._live_ids())
 
     def run(self, generations: int | None = None) -> None:
+        """Cycle until every PE has taken ``generations`` more steps
+        (default: the configured run length)."""
         todo = self.config.generations if generations is None else generations
-        for _ in range(todo):
+        self._goal = int(self.generation.max()) + todo
+        while self.generation.min() < self._goal:
             self.step_cycle()
         if self.tracker is not None:
             self.tracker.prune(self._live_ids())

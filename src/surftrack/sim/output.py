@@ -111,8 +111,13 @@ def write_manifest(
     mode: str,
     outputs: dict[str, str],
     duration_seconds: float,
+    stats: dict[str, int] | None = None,
 ) -> None:
-    """Atomically write the run manifest next to its outputs."""
+    """Atomically write the run manifest next to its outputs.
+
+    ``stats`` is the run's telemetry (cycles, migrant counts); it is
+    written as the ``stats`` block when given.
+    """
     payload = {
         "tool": {"name": "surftrack", "version": __version__},
         "created": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -121,6 +126,8 @@ def write_manifest(
         "outputs": outputs,
         "duration_seconds": round(duration_seconds, 3),
     }
+    if stats is not None:
+        payload["stats"] = stats
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

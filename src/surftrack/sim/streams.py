@@ -7,12 +7,12 @@ Stream keys are derived as
     key_k = finalize(finalize(seed) ^ finalize((k + 1) * GOLDEN))
 
 so streams are decorrelated across both seeds and stream indices.
-Because draws are pure functions of (key, position), a batch engine can
-evaluate many streams' next draws in one vectorized call and a threaded
-engine can evaluate the same draws independently, and both see
-identical values at identical positions.  That is the property the
-whole reproducibility story hangs on; nothing here is stateful beyond
-the per-stream position cursor.
+Because draws are pure functions of (key, position), the engine can
+evaluate any subset of streams' next draws in one vectorized call, and a
+stream sees identical values at identical positions however its draws
+were batched or interleaved with other streams'.  That is the property
+the whole reproducibility story hangs on; nothing here is stateful
+beyond the per-stream position cursor.
 
 Uniform floats take the top 53 bits, so they lie in [0, 1).  Normal
 magnitudes come from a Box-Muller cosine branch on two uniforms.
@@ -104,7 +104,8 @@ class StreamBank:
     """Position cursors for a whole grid's worth of streams.
 
     Stream ids 0..n_streams-1; callers reserve whatever convention they
-    like (the engine uses one stream per PE plus one for transport).
+    like (the engine uses one stream per PE, then one for transport and
+    one for the asynchronous schedule).
     """
 
     def __init__(self, seed: int, n_streams: int) -> None:
@@ -134,17 +135,3 @@ class StreamBank:
         """Next ``count`` values from a single stream, shape (count,)."""
         return self.draw(np.array([stream]), count)[0]
 
-
-class ScalarStream:
-    """Sequential view of one stream; used by the threaded engine."""
-
-    def __init__(self, seed: int, stream_id: int) -> None:
-        self.key = stream_key(seed, stream_id)
-        self.position = 0
-
-    def draw(self, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.uint64)
-        for i in range(count):
-            out[i] = raw_draw(self.key, self.position + i)
-        self.position += count
-        return out

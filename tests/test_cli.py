@@ -81,19 +81,30 @@ def test_tracked_simulate_adds_the_exact_tree(tmp_path):
 
 def test_parallel_simulate_is_labeled_in_the_manifest(tmp_path):
     assert simulate_into(tmp_path, "--parallel") == 0
-    assert read_manifest(str(tmp_path / "manifest.json"))["mode"] == "threads"
+    assert read_manifest(str(tmp_path / "manifest.json"))["mode"] == "asynchronous"
 
 
-def test_parallel_simulate_refuses_grids_past_the_thread_cap(tmp_path, capsys):
-    from surftrack.sim.threads import MAX_THREADED_PES
+def test_parallel_reruns_are_byte_identical(tmp_path):
+    for run in ("one", "two"):
+        assert simulate_into(tmp_path / run, "--parallel", "--track-perfect", "--seed", "3") == 0
+    for name in ("genomes.csv", "perfect_tree.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
-    grid = f"{MAX_THREADED_PES + 1}x1"
-    out = tmp_path / "run"
-    rc = main(["simulate", "--grid", grid, "--generations", "1", "--parallel", "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert grid in err and f"capped at {MAX_THREADED_PES}" in err
-    assert not out.exists()
+
+@pytest.mark.parametrize("extra", [(), ("--parallel",)], ids=["lockstep", "asynchronous"])
+def test_simulate_reports_run_stats(tmp_path, capsys, extra):
+    assert simulate_into(tmp_path, *extra) == 0
+    stats = read_manifest(str(tmp_path / "manifest.json"))["stats"]
+    assert set(stats) == {"cycles", "migrants_imported", "migrants_exported"}
+    if extra:
+        assert stats["cycles"] > 20  # some PEs stalled on some cycles
+    else:
+        assert stats["cycles"] == 20
+    assert f"20 generations in {stats['cycles']} cycles" in capsys.readouterr().out
+    # Each import empties a full 4-migrant stage; what was delivered but is
+    # still staged has been exported without being imported yet.
+    assert 0 < stats["migrants_imported"] <= stats["migrants_exported"]
+    assert stats["migrants_imported"] % 4 == 0
 
 
 def test_config_file_reruns_are_byte_identical(tmp_path):

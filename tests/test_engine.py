@@ -125,7 +125,7 @@ def test_tournament_follows_the_reference_selection_rule():
     f = eng.pop["fit"][np.arange(P)[:, None, None], cand]
     score = np.where(f == f.max(axis=2, keepdims=True), ties, -1.0)
     winner = np.take_along_axis(cand, score.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
-    eng._tournament()
+    eng._tournament(eng.pop, eng._all)
     assert np.array_equal(eng.pop["counter"], winner)
 
 
@@ -140,7 +140,7 @@ def test_tournament_keeps_the_first_of_equal_tie_uniforms():
     lane = [c << 62 for c in cands]
     row = np.array(lane * K + ties * K, dtype=np.uint64)[None, :]
     eng.bank.draw = lambda streams, count: row.copy()
-    eng._tournament()
+    eng._tournament(eng.pop, eng._all)
     assert eng.pop["counter"].tolist() == [[1] * K]
 
 
