@@ -211,6 +211,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "migrants_imported": int(grid.imported.sum()),
         "migrants_exported": int(grid.exported.sum()),
     }
+    if grid.tracker is not None:
+        stats["tracker_rows"] = len(grid.tracker)
+        stats["tracker_rows_pruned"] = grid.tracker.rows_pruned
     write_manifest(
         os.path.join(args.out, "manifest.json"), config, mode, outputs, duration, stats
     )
@@ -224,6 +227,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"wrote {len(samples)} genomes to {genomes_path} "
         f"(counters {min(counters)}..{max(counters)})"
     )
+    if grid.tracker is not None:
+        print(
+            f"lineage tracker holds {stats['tracker_rows']} rows "
+            f"after pruning {stats['tracker_rows_pruned']}"
+        )
     return 0
 
 
@@ -250,6 +258,16 @@ def _reconstruction_params(args: argparse.Namespace) -> tuple[GenomeLayout, str]
             "no manifest found; pass --manifest or --policy/--layout explicitly"
         )
     return GenomeLayout(layout_kind, slots or 64, bits or 1), policy
+
+
+def _rank_intersection(rows) -> tuple[int, float, int]:
+    """Ranks every genome shares, mean ranks per genome, and the roots
+    the first shared rank splits the genomes into (before any stitch)."""
+    rank_sets = [set(r.records.ranks()) for r in rows]
+    shared = sorted(set.intersection(*rank_sets))
+    per_genome = sum(len(ranks) for ranks in rank_sets) / len(rank_sets)
+    roots = len({r.records.mapping()[shared[0]] for r in rows}) if shared else len(rows)
+    return len(shared), per_genome, roots
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -280,6 +298,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     print(
         f"reconstructed {tree.n_leaves} leaves into {tree.n_roots} tree(s), "
         f"max depth {tree.max_depth()}; wrote {args.out}"
+    )
+    shared, per_genome, roots = _rank_intersection(rows)
+    print(
+        f"rank intersection kept {shared} of {per_genome:.1f} ranks per genome (mean); "
+        f"{roots} root(s) before any stitch"
     )
     return 0
 

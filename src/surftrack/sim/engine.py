@@ -150,7 +150,7 @@ class DeterministicGrid:
         if config.track_perfect:
             self.tracker = LineageTracker()
             founders = self.tracker.record_cohort(
-                np.full(P * K, NO_PARENT), np.zeros(P * K, np.int64), np.repeat(self._all, K)
+                np.full(P * K, NO_PARENT), np.zeros(P * K, np.int64)
             )
             self.pop["gid"] = founders.reshape(P, K)
 
@@ -271,10 +271,8 @@ class DeterministicGrid:
         for name, arr in pop.items():
             pop[name] = arr.reshape((L,) + arr.shape[2:]).take(winner, axis=0).reshape(arr.shape)
         if self.tracker is not None:
-            parents = pop["gid"].ravel()
-            ranks = pop["counter"].ravel()
-            lane_pe = np.repeat(ids, K)
-            pop["gid"] = self.tracker.record_cohort(parents, ranks, lane_pe).reshape(m, K)
+            gid = self.tracker.record_cohort(pop["gid"].ravel(), pop["counter"].ravel())
+            pop["gid"] = gid.reshape(m, K)
 
     def _mutate(self, pop: dict[str, np.ndarray], ids: np.ndarray) -> None:
         t = self.config.treatment

@@ -6,7 +6,8 @@ import pytest
 
 from surftrack.cli import main
 from surftrack.phylo.serialize import import_alife_csv, parse_newick
-from surftrack.sim.output import read_manifest
+from surftrack.sim.output import read_genomes_csv, read_manifest
+from surftrack.surface.genome import GenomeLayout
 
 
 def simulate_into(dirpath, *extra) -> int:
@@ -107,6 +108,24 @@ def test_simulate_reports_run_stats(tmp_path, capsys, extra):
     assert stats["migrants_imported"] % 4 == 0
 
 
+@pytest.mark.parametrize("extra", [(), ("--parallel",)], ids=["lockstep", "asynchronous"])
+def test_tracked_simulate_reports_tracker_rows(tmp_path, capsys, extra):
+    assert simulate_into(tmp_path / "tracked", "--track-perfect", *extra) == 0
+    stats = read_manifest(str(tmp_path / "tracked" / "manifest.json"))["stats"]
+    # every founder and every birth is either still held or was pruned:
+    # 2x2 PEs of 8 lanes, founders plus 20 generations of births
+    assert stats["tracker_rows"] + stats["tracker_rows_pruned"] == 4 * 8 * 21
+    assert 0 < stats["tracker_rows"] < stats["tracker_rows_pruned"]
+    assert (
+        f"lineage tracker holds {stats['tracker_rows']} rows "
+        f"after pruning {stats['tracker_rows_pruned']}"
+    ) in capsys.readouterr().out
+    assert simulate_into(tmp_path / "untracked", *extra) == 0
+    stats = read_manifest(str(tmp_path / "untracked" / "manifest.json"))["stats"]
+    assert not {"tracker_rows", "tracker_rows_pruned"} & set(stats)
+    assert "lineage tracker" not in capsys.readouterr().out
+
+
 def test_config_file_reruns_are_byte_identical(tmp_path):
     assert simulate_into(tmp_path / "one") == 0
     rc = main(
@@ -160,6 +179,29 @@ def test_reconstruct_round_trips_the_samples(tmp_path, capsys):
     assert sorted(l.label for l in tree.leaves()) == sorted(
         f"pe{x}_{y}_{j}" for x in range(2) for y in range(2) for j in range(2)
     )
+
+
+def test_reconstruct_reports_the_rank_intersection(tmp_path, capsys):
+    simulate_into(tmp_path, "--generations", "200", "--sample-per-pe", "3")
+    layout = GenomeLayout("tagged", 64, 1)
+    rows = read_genomes_csv((tmp_path / "genomes.csv").read_text(), layout, "tilted")
+    rank_sets = [set(r.records.ranks()) for r in rows]
+    shared = set.intersection(*rank_sets)
+    mean = sum(len(ranks) for ranks in rank_sets) / len(rows)
+    assert 0 < len(shared) < mean  # 200 generations leave ragged rank sets
+    for extra in ((), ("--stitch",)):
+        out = tmp_path / f"tree{len(extra)}.newick"
+        rc = main(
+            ["reconstruct", "--genomes", str(tmp_path / "genomes.csv"), "--out", str(out), *extra]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        if not extra:
+            roots = len(parse_newick(out.read_text()).roots)
+        assert lines[-1] == (
+            f"rank intersection kept {len(shared)} of {mean:.1f} ranks per genome (mean); "
+            f"{roots} root(s) before any stitch"
+        )
 
 
 def test_reconstruct_to_alife_csv(tmp_path):

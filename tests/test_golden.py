@@ -7,6 +7,9 @@ what order, or how they are used shows up here.  Together the cases
 cover every branch of the tournament, mutation and deposit stages:
 tagged and fitness layouts, all-tie tournaments, each treatment and
 policy, the 8-bit surface, in-transit loss, the torus and tracking.
+``tagged-tracked-400`` runs long enough for the tracker to prune three
+times before the final prune, so its tree hash checks the lineage
+records across prunes.
 The cases in ASYNCHRONOUS run the step-or-stall schedule; they have no
 earlier engine to agree with, so their hashes were recorded when that
 mode was added and pin it against drift.
@@ -56,6 +59,7 @@ CASES = {
         treatment=Treatment(mode="adaptive"),
     ),
     "async-lossy-tracked": dict(loss_rate=0.3, track_perfect=True),
+    "tagged-tracked-400": dict(generations=400, track_perfect=True),
 }
 
 ASYNCHRONOUS = {"async-lossy-tracked"}
@@ -87,6 +91,10 @@ GOLDEN = {
     "async-lossy-tracked": {
         "genomes.csv": "400ab9a8158fbdffeb6e0b34a7df8f405918acddfcb19ec23ec48d413f4a9954",
         "perfect_tree.csv": "5f3baee74f6d7ac02eeada4c0d47c8ac302aa9f2cf22e0cf8c19573407e25e44",
+    },
+    "tagged-tracked-400": {
+        "genomes.csv": "2185d595f7e626c27f81670ce577a47558ea7b48fb315a948cd63ba45b249d93",
+        "perfect_tree.csv": "9f265bd74e6814b098a30aa4966c1093b6f61d34e63f99f659dd2948b4ee5040",
     },
 }
 

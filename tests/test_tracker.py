@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from surftrack.phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
 from surftrack.sim.tracker import NO_PARENT, LineageTracker
 
-from _trees import canon
+from _trees import canon, canon_ordered
 
 
 def family() -> tuple[LineageTracker, int, int, int]:
     """Founder at rank 0 with two children born at rank 1."""
     tr = LineageTracker()
-    founder = tr.record_birth(NO_PARENT, 0, 0)
-    a = tr.record_birth(founder, 1, 0)
-    b = tr.record_birth(founder, 1, 0)
+    founder = tr.record_birth(NO_PARENT, 0)
+    a = tr.record_birth(founder, 1)
+    b = tr.record_birth(founder, 1)
     return tr, founder, a, b
 
 
@@ -30,7 +31,7 @@ def random_genealogy(seed: int, births: int) -> tuple[LineageTracker, dict[int, 
             parents = rng.choice(known, size=n)
         else:
             parents = np.full(n, NO_PARENT)
-        ids = tr.record_cohort(parents, np.full(n, cohort), np.zeros(n))
+        ids = tr.record_cohort(parents, np.full(n, cohort))
         for i, p in zip(ids.tolist(), parents.tolist()):
             parent_of[i] = int(p)
         known.extend(ids.tolist())
@@ -48,10 +49,25 @@ def brute_closure(parent_of: dict[int, int], live) -> set[int]:
     return keep
 
 
+def brute_tree(parent_of, rank_of, sample, labels) -> PhyloTree:
+    """Reference genealogy built from plain dicts, nodes in id order."""
+    keep = sorted(brute_closure(parent_of, sample))
+    nodes = {i: PhyloNode(float(rank_of[i])) for i in keep}
+    roots = []
+    for i in keep:
+        if parent_of[i] == NO_PARENT:
+            roots.append(nodes[i])
+        else:
+            nodes[parent_of[i]].add(nodes[i])
+    for sid, label in zip(sample, labels):
+        nodes[int(sid)].add(PhyloNode(float(rank_of[int(sid)]), label=label))
+    return collapse_unifurcations(PhyloTree(roots))
+
+
 def test_ids_are_sequential_across_cohorts():
     tr = LineageTracker()
-    first = tr.record_cohort(np.full(3, NO_PARENT), np.zeros(3), np.zeros(3))
-    second = tr.record_cohort(np.array([0, 2]), np.ones(2), np.zeros(2))
+    first = tr.record_cohort(np.full(3, NO_PARENT), np.zeros(3))
+    second = tr.record_cohort(np.array([0, 2]), np.ones(2))
     assert first.tolist() == [0, 1, 2]
     assert second.tolist() == [3, 4]
     assert len(tr) == 5
@@ -79,10 +95,10 @@ def test_sampling_one_individual_twice_gives_sibling_leaves():
 
 def test_internal_nodes_carry_birth_ranks():
     tr = LineageTracker()
-    founder = tr.record_birth(NO_PARENT, 0, 0)
-    mid = tr.record_birth(founder, 7, 0)
-    left = tr.record_birth(mid, 9, 0)
-    right = tr.record_birth(mid, 12, 0)
+    founder = tr.record_birth(NO_PARENT, 0)
+    mid = tr.record_birth(founder, 7)
+    left = tr.record_birth(mid, 9)
+    right = tr.record_birth(mid, 12)
     tree = tr.to_tree(np.array([left, right]), ["L", "R"])
     root = tree.roots[0]
     assert root.origin_time == 7.0
@@ -91,10 +107,10 @@ def test_internal_nodes_carry_birth_ranks():
 
 def test_separate_founders_stay_separate_trees():
     tr = LineageTracker()
-    f1 = tr.record_birth(NO_PARENT, 0, 0)
-    f2 = tr.record_birth(NO_PARENT, 0, 1)
-    a = tr.record_birth(f1, 1, 0)
-    b = tr.record_birth(f2, 1, 1)
+    f1 = tr.record_birth(NO_PARENT, 0)
+    f2 = tr.record_birth(NO_PARENT, 0)
+    a = tr.record_birth(f1, 1)
+    b = tr.record_birth(f2, 1)
     tree = tr.to_tree(np.array([a, b]), ["A", "B"])
     assert tree.n_roots == 2
 
@@ -124,7 +140,7 @@ def test_returned_id_array_is_caller_safe():
     # engines overwrite lanes of the returned array in place when
     # injecting migrants; that must not corrupt the stored records
     tr = LineageTracker()
-    ids = tr.record_cohort(np.full(2, NO_PARENT), np.zeros(2), np.zeros(2))
+    ids = tr.record_cohort(np.full(2, NO_PARENT), np.zeros(2))
     ids[:] = -99
     tree = tr.to_tree(np.array([0, 1]), ["A", "B"])
     assert tree.n_roots == 2
@@ -134,7 +150,7 @@ def test_input_arrays_are_copied():
     tr = LineageTracker()
     parents = np.full(2, NO_PARENT)
     ranks = np.zeros(2, dtype=np.int64)
-    tr.record_cohort(parents, ranks, np.zeros(2))
+    tr.record_cohort(parents, ranks)
     ranks[:] = 42
     tree = tr.to_tree(np.array([0]), ["A"])
     assert tree.roots[0].origin_time == 0.0
@@ -142,11 +158,11 @@ def test_input_arrays_are_copied():
 
 def test_prune_drops_extinct_branches_only():
     tr = LineageTracker()
-    founder = tr.record_birth(NO_PARENT, 0, 0)
-    keep_kid = tr.record_birth(founder, 1, 0)
-    dead_kid = tr.record_birth(founder, 1, 0)
-    dead_grandkid = tr.record_birth(dead_kid, 2, 0)
-    keep_grandkid = tr.record_birth(keep_kid, 2, 0)
+    founder = tr.record_birth(NO_PARENT, 0)
+    keep_kid = tr.record_birth(founder, 1)
+    dead_kid = tr.record_birth(founder, 1)
+    dead_grandkid = tr.record_birth(dead_kid, 2)
+    keep_grandkid = tr.record_birth(keep_kid, 2)
     before = tr.to_tree(np.array([keep_grandkid]), ["K"])
     removed = tr.prune(np.array([keep_grandkid]))
     assert removed == 2
@@ -169,8 +185,8 @@ def test_prune_agrees_with_brute_force_closure(seed):
 def test_growth_continues_after_prune():
     tr, founder, a, b = family()
     tr.prune(np.array([a]))
-    c = tr.record_birth(a, 2, 0)
-    d = tr.record_birth(a, 2, 0)
+    c = tr.record_birth(a, 2)
+    d = tr.record_birth(a, 2)
     tree = tr.to_tree(np.array([c, d]), ["C", "D"])
     assert tree.n_roots == 1
     assert tree.roots[0].origin_time == 1.0  # a is the fork now
@@ -187,3 +203,70 @@ def test_empty_sample_gives_empty_forest():
     tr, *_ = family()
     tree = tr.to_tree(np.empty(0, dtype=np.int64), [])
     assert tree.n_roots == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_interleaved_prunes_agree_with_a_brute_force_reference(seed):
+    """Rounds of cohorts and prunes, checked against dicts after every prune.
+
+    Each round's parents come both from rows that survived the last prune
+    and from rows recorded since, and each live set holds a founder and
+    repeated ids.
+    """
+    rng = np.random.default_rng(seed)
+    tr = LineageTracker()
+    parent_of: dict[int, int] = {}
+    rank_of: dict[int, int] = {}
+    held: list[int] = []
+    rank = 0
+    pruned = 0
+    for _ in range(6):
+        survivors, recent = list(held), []
+        for _ in range(int(rng.integers(2, 8))):
+            n = int(rng.integers(1, 30))
+            pools = [pool for pool in (survivors, recent) if pool]
+            parents = np.array(
+                [
+                    NO_PARENT if not pools or rng.random() < 0.05
+                    else int(rng.choice(pools[int(rng.integers(len(pools)))]))
+                    for _ in range(n)
+                ]
+            )
+            ranks = rank + rng.integers(0, 3, size=n)
+            ids = tr.record_cohort(parents, ranks)
+            for i, p, r in zip(ids.tolist(), parents.tolist(), ranks.tolist()):
+                parent_of[i], rank_of[i] = p, r
+            recent.extend(ids.tolist())
+            rank += 3
+        candidates = survivors + recent
+        founders = [i for i in candidates if parent_of[i] == NO_PARENT]
+        live = rng.choice(candidates, size=int(rng.integers(1, 12)))
+        live = np.concatenate([live, live[:3], founders[:1]])
+        expected = brute_closure(parent_of, live)
+        assert tr.prune(live) == len(candidates) - len(expected)
+        pruned += len(candidates) - len(expected)
+        held = sorted(expected)
+        assert len(tr) == len(held)
+        assert tr.rows_pruned == pruned
+        sample = rng.choice(held, size=int(rng.integers(1, 10)))
+        sample = np.concatenate([sample, sample[:2]])
+        labels = [f"s{k}" for k in range(len(sample))]
+        assert canon_ordered(tr.to_tree(sample, labels)) == canon_ordered(
+            brute_tree(parent_of, rank_of, sample, labels)
+        )
+
+
+@pytest.mark.parametrize("case", ["past-next-id", "negative", "pruned-away"])
+@pytest.mark.parametrize("method", ["prune", "to_tree"])
+def test_ids_not_held_are_rejected(method, case):
+    tr, founder, a, b = family()
+    tr.prune(np.array([a]))  # drops b
+    c = tr.record_birth(a, 2)
+    bad = {"past-next-id": c + 1, "negative": -2, "pruned-away": b}[case]
+    ids = np.array([c, bad])
+    with pytest.raises(KeyError):
+        if method == "prune":
+            tr.prune(ids)
+        else:
+            tr.to_tree(ids, ["C", "X"])
+    assert len(tr) == 3  # a failed call leaves the records alone
