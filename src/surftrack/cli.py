@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, oracle
 from .phylo import metrics as phylo_metrics
-from .phylo.reconstruct import build_forest
+from .phylo.reconstruct import build_forest, rank_intersection
 from .phylo.serialize import (
     AlifeCsvError,
     NewickParseError,
@@ -210,6 +210,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "cycles": grid.cycle,
         "migrants_imported": int(grid.imported.sum()),
         "migrants_exported": int(grid.exported.sum()),
+        "migrants_lost": int(grid.lost.sum()),
     }
     if grid.tracker is not None:
         stats["tracker_rows"] = len(grid.tracker)
@@ -226,6 +227,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(
         f"wrote {len(samples)} genomes to {genomes_path} "
         f"(counters {min(counters)}..{max(counters)})"
+    )
+    print(
+        f"migrants: {stats['migrants_exported']} exported, "
+        f"{stats['migrants_imported']} imported, {stats['migrants_lost']} lost in transit"
     )
     if grid.tracker is not None:
         print(
@@ -260,16 +265,6 @@ def _reconstruction_params(args: argparse.Namespace) -> tuple[GenomeLayout, str]
     return GenomeLayout(layout_kind, slots or 64, bits or 1), policy
 
 
-def _rank_intersection(rows) -> tuple[int, float, int]:
-    """Ranks every genome shares, mean ranks per genome, and the roots
-    the first shared rank splits the genomes into (before any stitch)."""
-    rank_sets = [set(r.records.ranks()) for r in rows]
-    shared = sorted(set.intersection(*rank_sets))
-    per_genome = sum(len(ranks) for ranks in rank_sets) / len(rank_sets)
-    roots = len({r.records.mapping()[shared[0]] for r in rows}) if shared else len(rows)
-    return len(shared), per_genome, roots
-
-
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     layout, policy = _reconstruction_params(args)
     with open(args.genomes, encoding="utf-8") as fh:
@@ -299,9 +294,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         f"reconstructed {tree.n_leaves} leaves into {tree.n_roots} tree(s), "
         f"max depth {tree.max_depth()}; wrote {args.out}"
     )
-    shared, per_genome, roots = _rank_intersection(rows)
+    shared, per_genome = rank_intersection([r.records for r in rows])
+    # Genomes that differ at the first shared rank land in separate trees.
+    roots = len({r.records.mapping()[shared[0]] for r in rows}) if shared else len(rows)
     print(
-        f"rank intersection kept {shared} of {per_genome:.1f} ranks per genome (mean); "
+        f"rank intersection kept {len(shared)} of {per_genome:.1f} ranks per genome (mean); "
         f"{roots} root(s) before any stitch"
     )
     return 0

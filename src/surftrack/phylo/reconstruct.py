@@ -63,11 +63,7 @@ def build_forest(
         records, label, tag = items[0]
         return PhyloTree([_leaf(label, records.counter, tag)])
 
-    common: set[int] | None = None
-    for records, _, _ in items:
-        ranks = set(records.ranks())
-        common = ranks if common is None else common & ranks
-    ordered = sorted(common or ())
+    ordered, _ = rank_intersection([records for records, _, _ in items])
 
     if not ordered:
         warnings.warn(
@@ -90,6 +86,16 @@ def build_forest(
         roots.append(_to_phylo(trie.children[value], 0, ordered))
     tree = collapse_unifurcations(PhyloTree(roots))
     return _finish(tree, stitch)
+
+
+def rank_intersection(record_sets: Sequence[RecordSet]) -> tuple[list[int], float]:
+    """The ranks every record set holds, ascending, and the mean number of
+    ranks a set holds.  ``build_forest`` reads its inputs at these ranks."""
+    rank_sets = [set(records.ranks()) for records in record_sets]
+    if not rank_sets:
+        return [], 0.0
+    shared = sorted(set.intersection(*rank_sets))
+    return shared, sum(len(ranks) for ranks in rank_sets) / len(rank_sets)
 
 
 def _to_phylo(trie: _TrieNode, depth: int, ranks: Sequence[int]) -> PhyloNode:

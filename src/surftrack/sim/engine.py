@@ -32,7 +32,10 @@ identically in either mode.  A PE's own draws depend only on how many
 steps it has taken, not on the cycle it takes them in, so a lone PE
 evolves identically in both modes.  A stage may take its consecutive
 draws from the same streams in one call and split the result, since a
-stream's cursor positions are contiguous either way.
+stream's cursor positions are contiguous either way.  A stage may also
+mix only the draws it reads, provided its cursors still advance over
+the whole block: the tagged tournament, where every candidate scores 0,
+reads just the tie draws and each winner's candidate draw.
 """
 
 from __future__ import annotations
@@ -122,8 +125,11 @@ class DeterministicGrid:
         self._everyone = np.ones(P, dtype=bool)
         self._row_base = (self._all * K)[:, None]  # flat index of each PE's lane 0
         n = config.tournament_size
-        # Flat offset of each lane's first candidate in the tournament draws.
+        # Flat offset of each lane's first candidate in the tournament draws,
+        # and its offset within its own stream's block.
         self._cand_base = self._all[:, None] * (2 * K * n) + np.arange(K) * n
+        self._cand_steps = np.arange(K, dtype=np.uint64) * np.uint64(n)
+        self._tie_steps = np.arange(K * n, 2 * K * n, dtype=np.uint64)  # tie draws in a block
         self._tie_cols = np.tile(np.arange(n, dtype=np.uint64), K)  # j of each tie draw
         # Per-rank deposit lookups, built on first use and grown on demand.
         self._rank_slot = np.empty(0, dtype=np.int64)
@@ -166,7 +172,8 @@ class DeterministicGrid:
         self.send_done = self.valid.copy()  # arm the first refill
         self.stage_n = np.zeros((4, P), dtype=np.int64)
         self.imported = np.zeros(P, dtype=np.int64)
-        self.exported = np.zeros(P, dtype=np.int64)
+        self.exported = np.zeros(P, dtype=np.int64)  # delivered, by source PE
+        self.lost = np.zeros(P, dtype=np.int64)  # dropped in transit, by source PE
 
     # -- cycle pieces ----------------------------------------------------
 
@@ -188,6 +195,7 @@ class DeterministicGrid:
                     self.bank.draw(np.array([self._transport_stream]), len(src))[0]
                 )
                 kept = u >= cfg.loss_rate
+                self.lost[src[~kept]] += 1
             else:
                 kept = np.ones(len(src), dtype=bool)
             ksrc, kdst = src[kept], dst[kept]
@@ -246,11 +254,19 @@ class DeterministicGrid:
         m = len(ids)
         L, KN = m * K, K * n
         row_base = self._row_base[:m]
-        draws = self.bank.draw(ids, 2 * KN)  # candidates, then ties
+        # Each stream's block holds K*n candidate draws, then K*n tie draws.
         # Candidate j's key: the top 53 bits of its tie draw, which order
         # exactly as its to_unit uniform does, over TIE_LOW - j in the low
         # bits.  The largest key is the highest tie, the first on equality.
-        key = draws[:, KN:] | _TIE_LOW
+        if "fit" in pop:
+            draws = self.bank.draw(ids, 2 * KN)  # every candidate is scored
+            key = draws[:, KN:] | _TIE_LOW
+        else:
+            # Tags all score 0, so only the ties and each winner's candidate
+            # are read; the cursors still pass the whole block.
+            start = self.bank.skip(ids, 2 * KN)
+            key = self.bank.at(ids, start, self._tie_steps)
+            key |= _TIE_LOW
         key -= self._tie_cols
         key = key.reshape(L, n)
         if "fit" in pop:
@@ -264,8 +280,12 @@ class DeterministicGrid:
         top = key[:, 0]
         for j in range(1, n):
             top = np.maximum(top, key[:, j])
-        col = (_TIE_LOW - (top & _TIE_LOW)).astype(np.int64).reshape(m, K)
-        winner = streams.to_index(draws.reshape(-1).take(self._cand_base[:m] + col), K)
+        col = (_TIE_LOW - (top & _TIE_LOW)).reshape(m, K)
+        if "fit" in pop:
+            picked = draws.reshape(-1).take(self._cand_base[:m] + col.astype(np.int64))
+        else:
+            picked = self.bank.at(ids, start, self._cand_steps + col)
+        winner = streams.to_index(picked, K)
         winner += row_base
         winner = winner.reshape(L)
         for name, arr in pop.items():

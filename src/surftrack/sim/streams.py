@@ -14,6 +14,12 @@ were batched or interleaved with other streams'.  That is the property
 the whole reproducibility story hangs on; nothing here is stateful
 beyond the per-stream position cursor.
 
+The same property makes streams random-access: ``skip`` moves cursors
+past a block without mixing it, and ``at`` evaluates explicit positions
+without moving any cursor.  So a stage may mix only the draws it reads,
+as long as its cursors still advance over the whole block; every value
+it reads, and every draw after the block, is unchanged.
+
 Uniform floats take the top 53 bits, so they lie in [0, 1).  Normal
 magnitudes come from a Box-Muller cosine branch on two uniforms.
 """
@@ -130,6 +136,28 @@ class StreamBank:
         states = (keys + pos * _U64_GOLDEN)[:, None] + steps[None, :]
         self.positions[streams] = pos + np.uint64(count)
         return _mix64_array(states)
+
+    def skip(self, streams: np.ndarray | slice, count: int) -> np.ndarray:
+        """Advance the selected cursors past ``count`` draws without
+        mixing any of them; return the cursors as they were before."""
+        pos = np.array(self.positions[streams])  # a copy, even of a slice
+        self.positions[streams] = pos + np.uint64(count)
+        return pos
+
+    def at(
+        self, streams: np.ndarray | slice, base: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """Values of the selected streams at explicit positions; no cursor moves.
+
+        Row i is evaluated on the i-th selected stream at positions
+        ``base[i] + offsets`` when ``offsets`` has shape (c,), or
+        ``base[i] + offsets[i]`` when it has shape (n_selected, c).
+        Positions wrap mod 2**64 like the cursors.  Values match scalar
+        :func:`raw_draw` at the same positions exactly.
+        """
+        origin = self.keys[streams] + np.asarray(base, dtype=np.uint64) * _U64_GOLDEN
+        steps = np.asarray(offsets, dtype=np.uint64) * _U64_GOLDEN
+        return _mix64_array(origin[:, None] + steps)
 
     def draw_one(self, stream: int, count: int) -> np.ndarray:
         """Next ``count`` values from a single stream, shape (count,)."""

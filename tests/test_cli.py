@@ -96,12 +96,18 @@ def test_parallel_reruns_are_byte_identical(tmp_path):
 def test_simulate_reports_run_stats(tmp_path, capsys, extra):
     assert simulate_into(tmp_path, *extra) == 0
     stats = read_manifest(str(tmp_path / "manifest.json"))["stats"]
-    assert set(stats) == {"cycles", "migrants_imported", "migrants_exported"}
+    assert set(stats) == {"cycles", "migrants_imported", "migrants_exported", "migrants_lost"}
     if extra:
         assert stats["cycles"] > 20  # some PEs stalled on some cycles
     else:
         assert stats["cycles"] == 20
-    assert f"20 generations in {stats['cycles']} cycles" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"20 generations in {stats['cycles']} cycles" in out
+    assert stats["migrants_lost"] == 0  # no transit loss configured
+    assert (
+        f"migrants: {stats['migrants_exported']} exported, "
+        f"{stats['migrants_imported']} imported, 0 lost in transit"
+    ) in out
     # Each import empties a full 4-migrant stage; what was delivered but is
     # still staged has been exported without being imported yet.
     assert 0 < stats["migrants_imported"] <= stats["migrants_exported"]

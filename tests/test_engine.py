@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,28 @@ def test_tournament_follows_the_reference_selection_rule():
     assert np.array_equal(eng.pop["counter"], winner)
 
 
+@pytest.mark.parametrize("ids", [None, [0, 3, 4, 8]], ids=["lockstep", "subset"])
+def test_tagged_tournament_follows_the_reference_selection_rule(ids):
+    """Tags all score 0, so the highest tie uniform wins, the first on
+    equality; the tagged tournament reads only some of its block but every
+    stepping cursor still ends the full 2*K*n draws further on."""
+    K, n = 12, GridConfig.tournament_size
+    eng = DeterministicGrid(GridConfig(width=3, height=3, generations=1, population=K, seed=6))
+    eng.pop["counter"][:] = np.arange(K)  # lane labels
+    ids = eng._all if ids is None else np.array(ids)
+    before = eng.bank.positions.copy()
+    draws = copy.deepcopy(eng.bank).draw(ids, 2 * K * n)
+    cand = streams.to_index(draws[:, : K * n], K).reshape(len(ids), K, n)
+    ties = streams.to_unit(draws[:, K * n :]).reshape(len(ids), K, n)
+    winner = np.take_along_axis(cand, ties.argmax(axis=2)[:, :, None], axis=2)[:, :, 0]
+    pop = {name: arr[ids] for name, arr in eng.pop.items()}
+    eng._tournament(pop, ids)
+    assert np.array_equal(pop["counter"], winner)
+    moved = before.copy()
+    moved[ids] += np.uint64(2 * K * n)
+    assert np.array_equal(eng.bank.positions, moved)
+
+
 def test_tournament_keeps_the_first_of_equal_tie_uniforms():
     """Tie draws that differ only below the 53 bits to_unit keeps are equal
     ties, and the earliest such candidate wins."""
@@ -139,7 +162,9 @@ def test_tournament_keeps_the_first_of_equal_tie_uniforms():
     ties = [(7 << 11) | 0x7FF, 9 << 11, (9 << 11) | 0x400, (3 << 11) | 0x7FF, (9 << 11) | 0x7FF]
     lane = [c << 62 for c in cands]
     row = np.array(lane * K + ties * K, dtype=np.uint64)[None, :]
-    eng.bank.draw = lambda streams, count: row.copy()
+    # The block starts at position 0; the tagged tournament reads it through `at`.
+    eng.bank.positions[:] = 0
+    eng.bank.at = lambda streams, base, offsets: row[:, (base[:, None] + offsets)[0]]
     eng._tournament(eng.pop, eng._all)
     assert eng.pop["counter"].tolist() == [[1] * K]
 
@@ -185,6 +210,22 @@ def test_transit_loss_reduces_arrivals():
     lossy = run_grid(generations=80, loss_rate=0.9)
     assert lossy.imported.sum() < clean.imported.sum()
     assert lossy.imported.sum() >= 0
+
+
+@pytest.mark.parametrize("asynchronous", [False, True], ids=["lockstep", "asynchronous"])
+def test_lost_migrants_are_counted_at_the_loss_rate(asynchronous):
+    def run(loss_rate):
+        config = GridConfig(width=3, height=3, generations=200, population=8, loss_rate=loss_rate)
+        eng = DeterministicGrid(config, asynchronous=asynchronous)
+        eng.run()
+        return int(eng.lost.sum()), int(eng.exported.sum())
+
+    assert run(0.0)[0] == 0
+    lost, exported = run(0.3)
+    trials = lost + exported  # every departure is delivered or lost
+    assert trials > 1000
+    bound = 4 * math.sqrt(0.3 * 0.7 / trials)
+    assert abs(lost / trials - 0.3) < bound
 
 
 def test_torus_and_bounded_runs_differ():

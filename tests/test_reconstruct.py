@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surftrack.surface.annotation import RecordSet, SurfaceAnnotation
-from surftrack.phylo.reconstruct import build_forest, estimate_mrca_range
+from surftrack.phylo.reconstruct import build_forest, estimate_mrca_range, rank_intersection
 
 
 def records(pairs, counter):
@@ -114,6 +114,17 @@ def test_no_common_ranks_warns_and_degrades():
         tree = build_forest([(young, "new"), (old, "old")])
     assert tree.n_roots == 2
     assert any("share no retained ranks" in str(w.message) for w in caught)
+
+
+def test_rank_intersection_keeps_the_ranks_every_input_holds():
+    a = records([(0, 1), (2, 5), (4, 7), (8, 3)], counter=9)
+    b = records([(2, 6), (8, 3), (16, 1)], counter=17)
+    c = records([(8, 0), (2, 2), (4, 4)], counter=9)
+    assert rank_intersection([a, b, c]) == ([2, 8], 10 / 3)
+    assert rank_intersection([a]) == ([0, 2, 4, 8], 4.0)
+    assert rank_intersection([]) == ([], 0.0)
+    young = records([(0, 1)], counter=1)
+    assert rank_intersection([young, b]) == ([], 2.0)
 
 
 def test_founder_tags_ride_along():

@@ -143,6 +143,15 @@ def test_one_long_draw_equals_consecutive_short_ones():
     assert np.array_equal(fused.positions, split.positions)
 
 
+def test_draws_from_a_slice_of_streams_match_scalar_draws():
+    bank = streams.StreamBank(seed=8, n_streams=4)
+    bank.draw(np.array([2]), 3)
+    out = bank.draw(slice(1, 3), 4)
+    assert (out[0] == scalar_draws(8, 1, 0, 4)).all()
+    assert (out[1] == scalar_draws(8, 2, 3, 4)).all()
+    assert bank.positions.tolist() == [0, 4, 7, 0]
+
+
 def test_draw_one_matches_batch():
     bank = streams.StreamBank(seed=8, n_streams=2)
     a = bank.draw_one(1, 4)
@@ -154,3 +163,69 @@ def test_seed_is_taken_mod_2_64():
     b = scalar_draws((1 << 64) - 1, 0, 0, 4)
     assert (a == b).all()
     assert (streams.StreamBank(-1, 1).draw_one(0, 4) == b).all()
+
+
+# -- skipping and positional reads -------------------------------------------
+
+MASK64 = (1 << 64) - 1
+
+
+def test_positional_reads_match_scalar_draws():
+    """at() equals raw_draw at base + offset, for shared and per-row offsets,
+    at random positions, positions past 2**32, and positions that wrap."""
+    rng = np.random.default_rng(5)
+    bank = streams.StreamBank(seed=13, n_streams=6)
+    ids = np.array([4, 0, 5])
+    base = np.array([rng.integers(0, 1 << 32), (1 << 40) + 7, MASK64 - 2], dtype=np.uint64)
+    shared = np.array([0, 1, 9, 3, 1 << 33], dtype=np.uint64)
+    per_row = rng.integers(0, 1 << 62, size=(3, 4), dtype=np.uint64)
+    per_row[2, 0] = 2  # base + 2 wraps to 0
+    before = bank.positions.copy()
+    for offsets in (shared, per_row):
+        out = bank.at(ids, base, offsets)
+        full = np.broadcast_to(offsets, out.shape)
+        for i, k in enumerate(ids):
+            key = int(bank.keys[k])
+            expected = [
+                streams.raw_draw(key, (int(base[i]) + int(o)) & MASK64) for o in full[i]
+            ]
+            assert [int(v) for v in out[i]] == expected
+    assert np.array_equal(bank.positions, before)
+
+
+def test_skip_moves_only_the_selected_cursors_and_returns_the_old_ones():
+    bank = streams.StreamBank(seed=2, n_streams=4)
+    bank.draw(np.array([1]), 3)
+    start = bank.skip(np.array([1, 2]), 10)
+    assert start.tolist() == [3, 0]
+    assert bank.positions.tolist() == [0, 13, 10, 0]
+    assert bank.skip(slice(2, 4), 5).tolist() == [10, 0]
+    assert bank.positions.tolist() == [0, 13, 15, 5]
+
+
+def test_skip_then_draw_is_a_slice_of_one_long_draw():
+    ids = np.array([0, 2, 3])
+    skipping = streams.StreamBank(seed=21, n_streams=4)
+    drawing = streams.StreamBank(seed=21, n_streams=4)
+    for bank in (skipping, drawing):
+        bank.draw(ids[:2], 3)
+    start = skipping.skip(ids, 5)
+    tail = skipping.draw(ids, 7)
+    whole = drawing.draw(ids, 5 + 7)
+    assert np.array_equal(tail, whole[:, 5:])
+    assert np.array_equal(skipping.positions, drawing.positions)
+    # the skipped block is still there to read at the returned cursors
+    assert np.array_equal(skipping.at(ids, start, np.arange(5)), whole[:, :5])
+
+
+def test_cursors_wrap_mod_2_64():
+    bank = streams.StreamBank(seed=3, n_streams=2)
+    bank.positions[:] = MASK64 - 2  # three draws short of wrapping
+    key = int(bank.keys[1])
+    out = bank.draw_one(1, 6)
+    assert [int(v) for v in out] == [
+        streams.raw_draw(key, (MASK64 - 2 + i) & MASK64) for i in range(6)
+    ]
+    assert int(bank.positions[1]) == 3
+    assert int(bank.skip(np.array([0]), 4)[0]) == MASK64 - 2
+    assert int(bank.positions[0]) == 1
