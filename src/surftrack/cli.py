@@ -268,7 +268,11 @@ def _reconstruction_params(args: argparse.Namespace) -> tuple[GenomeLayout, str]
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     layout, policy = _reconstruction_params(args)
     with open(args.genomes, encoding="utf-8") as fh:
-        rows = read_genomes_csv(fh.read(), layout, policy)
+        text = fh.read()
+    try:
+        rows = read_genomes_csv(text, layout, policy)
+    except GenomesCsvError as err:
+        raise GenomesCsvError(f"{args.genomes}: {err}") from None
     if not rows:
         print("no genomes to reconstruct from", file=sys.stderr)
         return 1

@@ -36,6 +36,15 @@ stream's cursor positions are contiguous either way.  A stage may also
 mix only the draws it reads, provided its cursors still advance over
 the whole block: the tagged tournament, where every candidate scores 0,
 reads just the tie draws and each winner's candidate draw.
+
+The migration stages (transport, inject, refill) handle every link of
+the grid at once, as one flat list of 4P links in direction-major
+order.  Each PE still takes its draws for its links in N, E, S, W
+order, and transport's loss draws run over the departing links in that
+same direction-major order, so these draws sit where a per-direction
+loop would take them.  When two of a PE's inject writes pick the same
+population slot, the last write in N, E, S, W then arrival order wins,
+as if the writes were made one at a time.
 """
 
 from __future__ import annotations
@@ -118,6 +127,13 @@ class DeterministicGrid:
 
         self.nbr = neighbor_table(config.width, config.height, config.torus)
         self.valid = self.nbr >= 0
+        # Flat (4P) stage each flat link delivers into: link (d, p) feeds
+        # stage (OPPOSITE[d], nbr[d, p]), and no other link feeds that stage.
+        opposite = np.array(OPPOSITE)[:, None] * P
+        self._link_stage = np.where(self.valid, opposite + self.nbr, -1).reshape(-1)
+        self._link_pe = np.tile(np.arange(P), 4)  # PE of each flat link
+        # Inject's last-writer table over flat lanes; all -1 between calls.
+        self._slot_writer = np.full(P * K, -1, dtype=np.int64)
         self.bank = streams.StreamBank(config.seed, P + 2)
         self._transport_stream = P
         self._schedule_stream = P + 1
@@ -179,35 +195,33 @@ class DeterministicGrid:
 
     def _transport_tick(self) -> None:
         """Move departed emigrants one hop; apply in-transit loss."""
-        cfg = self.config
-        for d in range(4):
-            src = np.nonzero(self.emig_full[d] & self.valid[d])[0]
-            if not src.size:
-                continue
-            dst = self.nbr[d, src]
-            dd = OPPOSITE[d]
-            room = self.stage_n[dd, dst] < GridConfig.RECEIVE_CAPACITY
-            src, dst = src[room], dst[room]
-            if not src.size:
-                continue
-            if cfg.loss_rate > 0.0:
-                u = streams.to_unit(
-                    self.bank.draw(np.array([self._transport_stream]), len(src))[0]
-                )
-                kept = u >= cfg.loss_rate
-                self.lost[src[~kept]] += 1
-            else:
-                kept = np.ones(len(src), dtype=bool)
-            ksrc, kdst = src[kept], dst[kept]
-            if ksrc.size:
-                j = self.stage_n[dd, kdst]
-                for name, arr in self.stage.items():
-                    arr[dd, kdst, j] = self.emig[name][d, ksrc]
-                self.stage_n[dd, kdst] += 1
-                self.exported[ksrc] += 1
-            # Departed either way: delivered or lost in transit.
-            self.emig_full[d, src] = False
-            self.send_done[d, src] = True
+        P, R = self.config.n_pes, GridConfig.RECEIVE_CAPACITY
+        links = np.flatnonzero(self.emig_full & self.valid)
+        if not links.size:
+            return
+        dest = self._link_stage.take(links)
+        stage_n = self.stage_n.reshape(-1)
+        room = stage_n.take(dest) < R
+        links, dest = links[room], dest[room]
+        if not links.size:
+            return
+        if self.config.loss_rate > 0.0:
+            u = streams.to_unit(self.bank.draw_one(self._transport_stream, len(links)))
+            kept = u >= self.config.loss_rate
+            self.lost += np.bincount(self._link_pe.take(links[~kept]), minlength=P)
+            klinks, kdest = links[kept], dest[kept]
+        else:
+            klinks, kdest = links, dest
+        # Each stage has one feeding link, so no two writes hit one slot.
+        at = kdest * R + stage_n.take(kdest)
+        for name, arr in self.stage.items():
+            rest = arr.shape[3:]
+            arr.reshape((-1,) + rest)[at] = self.emig[name].reshape((-1,) + rest)[klinks]
+        stage_n[kdest] += 1
+        self.exported += np.bincount(self._link_pe.take(klinks), minlength=P)
+        # Departed either way: delivered or lost in transit.
+        self.emig_full.reshape(-1)[links] = False
+        self.send_done.reshape(-1)[links] = True
 
     def _schedule(self) -> np.ndarray:
         """Mask of the PEs that step this asynchronous cycle."""
@@ -217,31 +231,68 @@ class DeterministicGrid:
         u = streams.to_unit(self.bank.draw_one(self._schedule_stream, self.config.n_pes))
         return (gen < self._goal) & within_lead & (u < STEP_P)
 
+    def _link_draws(
+        self, mask: np.ndarray, count: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The links a (4, P) mask selects, flat and direction-major, their
+        PEs, and ``count`` draws for each link from its PE's stream.
+
+        A PE takes its links' draws in N, E, S, W order, so a link's block
+        ends at its PE's cursor plus ``count`` times the link's rank among
+        that PE's selected links; every cursor advances past all its blocks.
+        """
+        links = np.flatnonzero(mask)
+        pes = self._link_pe.take(links)
+        # cumsum(mask * count, axis=0), written as row adds: numpy's
+        # accumulate runs several times slower over a 4-row axis.
+        end = mask * np.uint64(count)
+        end[1] += end[0]
+        end[2] += end[1]
+        end[3] += end[2]
+        base = self.bank.skip(self._all, end[3]).take(pes)
+        base += end.reshape(-1).take(links)
+        base -= np.uint64(count)
+        return links, pes, self.bank.at(pes, base, np.arange(count))
+
     def _inject_migrants(self, active: np.ndarray) -> None:
         K = self.config.population
         R = GridConfig.RECEIVE_CAPACITY
-        for d in range(4):
-            sel = np.nonzero((self.stage_n[d] >= R) & active)[0]
-            if not sel.size:
-                continue
-            idx = streams.to_index(self.bank.draw(sel, R), K)
-            for j in range(R):
-                for name, arr in self.pop.items():
-                    arr[sel, idx[:, j]] = self.stage[name][d, sel, j]
-            self.stage_n[d, sel] = 0
-            self.imported[sel] += R
+        full = (self.stage_n >= R) & active
+        if not full.any():
+            return
+        links, pes, draws = self._link_draws(full, R)
+        # Write i moves flat stage slot src[i] into flat lane target[i].  A
+        # PE's writes run in its N, E, S, W, then arrival order, which is
+        # also the order of their src.
+        target = streams.to_index(draws, K)
+        target += (pes * K)[:, None]
+        target = target.reshape(-1)
+        src = ((links * R)[:, None] + np.arange(R)).reshape(-1)
+        # Where writes collide the last one wins, as if made one at a time.
+        writer = self._slot_writer
+        np.maximum.at(writer, target, src)
+        won = writer.take(target) == src
+        writer[target] = -1
+        target, src = target[won], src[won]
+        for name, arr in self.pop.items():
+            rest = arr.shape[2:]
+            arr.reshape((-1,) + rest)[target] = self.stage[name].reshape((-1,) + rest)[src]
+        self.stage_n.reshape(-1)[links] = 0
+        self.imported += full.sum(axis=0) * R
 
     def _refill_emigrants(self, active: np.ndarray) -> None:
         K = self.config.population
-        for d in range(4):
-            sel = np.nonzero(self.send_done[d] & self.valid[d] & active)[0]
-            if not sel.size:
-                continue
-            idx = streams.to_index(self.bank.draw(sel, 1)[:, 0], K)
-            for name, arr in self.emig.items():
-                arr[d, sel] = self.pop[name][sel, idx]
-            self.emig_full[d, sel] = True
-            self.send_done[d, sel] = False
+        due = self.send_done & self.valid & active
+        if not due.any():
+            return
+        links, pes, draws = self._link_draws(due, 1)
+        src = streams.to_index(draws[:, 0], K)
+        src += pes * K
+        for name, arr in self.emig.items():
+            rest = arr.shape[2:]
+            arr.reshape((-1,) + rest)[links] = self.pop[name].reshape((-1,) + rest)[src]
+        self.emig_full.reshape(-1)[links] = True
+        self.send_done.reshape(-1)[links] = False
 
     # The three kernel stages below update ``pop``, a dict of (m, K, ...)
     # population arrays, in place; row i belongs to PE ``ids[i]`` and draws
@@ -417,10 +468,10 @@ class DeterministicGrid:
         cfg = self.config
         k = cfg.sample_per_pe if per_pe is None else per_pe
         out = []
-        for p in range(cfg.n_pes):
-            idx = streams.to_index(self.bank.draw(np.array([p]), k)[0], cfg.population)
+        picks = streams.to_index(self.bank.draw(self._all, k), cfg.population)
+        for p, idx in enumerate(picks.tolist()):
             x, y = p % cfg.width, p // cfg.width
-            for j, i in enumerate(idx.tolist()):
+            for j, i in enumerate(idx):
                 out.append(
                     SampledGenome(
                         pe_x=x,

@@ -45,6 +45,16 @@ class GenomeRow:
     fitness: float | None
 
 
+def _cell(row: list[str], cols: dict[str, int], rownum: int, name: str, parse):
+    """Parse one named field of a genomes.csv row, or fail naming the row and field."""
+    try:
+        return parse(row[cols[name]].strip())
+    except IndexError:
+        raise GenomesCsvError(f"row {rownum}, field {name!r}: missing") from None
+    except ValueError as err:
+        raise GenomesCsvError(f"row {rownum}, field {name!r}: {err}") from None
+
+
 def read_genomes_csv(
     text: str, layout: GenomeLayout, policy: str
 ) -> list[GenomeRow]:
@@ -52,7 +62,8 @@ def read_genomes_csv(
 
     Labels are derived as pe{x}_{y}_{j}, with j counting rows per PE in
     file order, mirroring how the simulator labels its samples.  The
-    redundant counter column must agree with the packed counter.
+    redundant counter column must agree with the packed counter.  A
+    decode error names the row and the field it failed on.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -68,16 +79,14 @@ def read_genomes_csv(
     for rownum, row in enumerate(reader, start=2):
         if not row or not any(cell.strip() for cell in row):
             continue
-        try:
-            x, y = int(row[cols["pe_x"]]), int(row[cols["pe_y"]])
-            counter = int(row[cols["counter"]])
-            blob = bytes.fromhex(row[cols["genome_hex"]].strip())
-        except (ValueError, IndexError) as err:
-            raise GenomesCsvError(f"row {rownum}: {err}") from None
+        x = _cell(row, cols, rownum, "pe_x", int)
+        y = _cell(row, cols, rownum, "pe_y", int)
+        counter = _cell(row, cols, rownum, "counter", int)
+        blob = _cell(row, cols, rownum, "genome_hex", bytes.fromhex)
         try:
             fields = unpack_genome(layout, blob)
         except ValueError as err:
-            raise GenomesCsvError(f"row {rownum}: {err}") from None
+            raise GenomesCsvError(f"row {rownum}, field 'genome_hex': {err}") from None
         if fields.counter != counter:
             raise GenomesCsvError(
                 f"row {rownum}: counter column says {counter} but genome "

@@ -137,11 +137,16 @@ class StreamBank:
         self.positions[streams] = pos + np.uint64(count)
         return _mix64_array(states)
 
-    def skip(self, streams: np.ndarray | slice, count: int) -> np.ndarray:
+    def skip(self, streams: np.ndarray | slice, count: int | np.ndarray) -> np.ndarray:
         """Advance the selected cursors past ``count`` draws without
-        mixing any of them; return the cursors as they were before."""
+        mixing any of them; return the cursors as they were before.
+
+        ``count`` is one count for every selected stream, or an array
+        with one count per selected stream; a count of 0 leaves that
+        cursor where it is.
+        """
         pos = np.array(self.positions[streams])  # a copy, even of a slice
-        self.positions[streams] = pos + np.uint64(count)
+        self.positions[streams] = pos + np.asarray(count, dtype=np.uint64)
         return pos
 
     def at(

@@ -235,6 +235,21 @@ def test_reconstruct_rejects_unknown_extension(tmp_path, capsys):
     assert "unsupported tree extension" in capsys.readouterr().err
 
 
+def test_reconstruct_names_the_file_row_and_field_of_a_bad_genome(tmp_path, capsys):
+    simulate_into(tmp_path)
+    genomes = tmp_path / "genomes.csv"
+    lines = genomes.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = "north"  # pe_y
+    lines[2] = ",".join(cells)
+    genomes.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["reconstruct", "--genomes", str(genomes), "--out", str(tmp_path / "t.newick")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {genomes}: row 3, field 'pe_y': " in err
+
+
 def test_reconstruct_needs_a_manifest_or_flags(tmp_path, capsys):
     simulate_into(tmp_path / "run")
     bare = tmp_path / "bare"

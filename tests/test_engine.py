@@ -1,8 +1,10 @@
 """Behavior of the deterministic grid engine."""
 
 import copy
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from surftrack.phylo.reconstruct import estimate_mrca_range
 from surftrack.sim import streams
 from surftrack.sim.config import GridConfig, Treatment
-from surftrack.sim.engine import DeterministicGrid, neighbor_table
+from surftrack.sim.engine import OPPOSITE, DeterministicGrid, neighbor_table
 from surftrack.surface.annotation import SurfaceAnnotation
 
 
@@ -54,8 +56,6 @@ def test_torus_wraps_every_direction():
 
 
 def test_neighbor_links_are_mutual():
-    from surftrack.sim.engine import OPPOSITE
-
     for torus in (False, True):
         t = neighbor_table(4, 3, torus=torus)
         for d in range(4):
@@ -63,6 +63,21 @@ def test_neighbor_links_are_mutual():
                 q = t[d, p]
                 if q >= 0:
                     assert t[OPPOSITE[d], q] == p
+
+
+def test_grid_has_every_method_the_benchmark_tracer_wraps():
+    """perfbench wraps grid methods by name and records a missing one as an
+    absent boundary, not an error; a rename must fail here instead."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [attr for attr, _ in tracing.GRID_STAGES]
+    stages = ("_transport_tick", "_inject_migrants", "_refill_emigrants")
+    stages += ("_tournament", "_mutate", "_deposit")
+    assert {"step_cycle", *stages, "sample_end_state"} <= set(wrapped)
+    for attr in wrapped:
+        assert callable(getattr(DeterministicGrid, attr, None)), attr
 
 
 # -- determinism -----------------------------------------------------------
@@ -226,6 +241,154 @@ def test_lost_migrants_are_counted_at_the_loss_rate(asynchronous):
     assert trials > 1000
     bound = 4 * math.sqrt(0.3 * 0.7 / trials)
     assert abs(lost / trials - 0.3) < bound
+
+
+# -- whole-grid migration against the per-direction reference ----------------
+#
+# The engine moves migrants over all 4P links in one pass per stage.  These
+# reference stages handle one direction at a time, as the protocol reads: a
+# PE's draws in N, E, S, W order, transport's loss draws direction by
+# direction, and colliding inject writes applied one slot column at a time.
+
+
+def reference_transport(g):
+    R = GridConfig.RECEIVE_CAPACITY
+    for d in range(4):
+        src = np.nonzero(g.emig_full[d] & g.valid[d])[0]
+        if not src.size:
+            continue
+        dst = g.nbr[d, src]
+        dd = OPPOSITE[d]
+        room = g.stage_n[dd, dst] < R
+        src, dst = src[room], dst[room]
+        if not src.size:
+            continue
+        if g.config.loss_rate > 0.0:
+            u = streams.to_unit(g.bank.draw(np.array([g._transport_stream]), len(src))[0])
+            kept = u >= g.config.loss_rate
+            g.lost[src[~kept]] += 1
+        else:
+            kept = np.ones(len(src), dtype=bool)
+        ksrc, kdst = src[kept], dst[kept]
+        if ksrc.size:
+            j = g.stage_n[dd, kdst]
+            for name, arr in g.stage.items():
+                arr[dd, kdst, j] = g.emig[name][d, ksrc]
+            g.stage_n[dd, kdst] += 1
+            g.exported[ksrc] += 1
+        g.emig_full[d, src] = False
+        g.send_done[d, src] = True
+
+
+def reference_inject(g, active):
+    K, R = g.config.population, GridConfig.RECEIVE_CAPACITY
+    for d in range(4):
+        sel = np.nonzero((g.stage_n[d] >= R) & active)[0]
+        if not sel.size:
+            continue
+        idx = streams.to_index(g.bank.draw(sel, R), K)
+        for j in range(R):
+            for name, arr in g.pop.items():
+                arr[sel, idx[:, j]] = g.stage[name][d, sel, j]
+        g.stage_n[d, sel] = 0
+        g.imported[sel] += R
+
+
+def reference_refill(g, active):
+    K = g.config.population
+    for d in range(4):
+        sel = np.nonzero(g.send_done[d] & g.valid[d] & active)[0]
+        if not sel.size:
+            continue
+        idx = streams.to_index(g.bank.draw(sel, 1)[:, 0], K)
+        for name, arr in g.emig.items():
+            arr[d, sel] = g.pop[name][sel, idx]
+        g.emig_full[d, sel] = True
+        g.send_done[d, sel] = False
+
+
+def scramble(g, rng):
+    """Distinct values in every buffer, random link states, partly full stages."""
+    R = GridConfig.RECEIVE_CAPACITY
+    for group in (g.pop, g.emig, g.stage):
+        for arr in group.values():
+            if arr.dtype.kind == "f":
+                top = 1 << 15
+            else:
+                top = min(1 << 30, int(np.iinfo(arr.dtype).max))
+            arr[...] = (rng.permutation(arr.size) % top).reshape(arr.shape)
+    g.emig_full[:] = (rng.random(g.valid.shape) < 0.6) & g.valid
+    g.send_done[:] = ~g.emig_full & g.valid & (rng.random(g.valid.shape) < 0.7)
+    g.stage_n[:] = rng.integers(0, R + 1, size=g.stage_n.shape)
+    g.bank.positions[:] = rng.integers(0, 1 << 40, size=g.bank.positions.shape, dtype=np.uint64)
+
+
+def assert_same_migration_state(a, b, where):
+    for group in ("pop", "emig", "stage"):
+        for name in getattr(a, group):
+            assert np.array_equal(getattr(a, group)[name], getattr(b, group)[name]), (
+                where, group, name
+            )
+    for attr in ("stage_n", "emig_full", "send_done", "imported", "exported", "lost"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), (where, attr)
+    assert np.array_equal(a.bank.positions, b.bank.positions), (where, "cursors")
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [(3, 3, False), (3, 3, True), (1, 5, False), (5, 1, True), (2, 2, True), (4, 3, False)],
+    ids=["open3x3", "torus3x3", "open1x5", "torus5x1", "torus2x2", "open4x3"],
+)
+@pytest.mark.parametrize("loss_rate", [0.0, 0.3], ids=["lossless", "lossy"])
+@pytest.mark.parametrize(
+    "genome",
+    [
+        dict(population=2),  # 4 writes into 2 slots: every inject collides
+        dict(
+            population=5,
+            layout="fitness",
+            slot_count=8,
+            differentia_bits=8,
+            track_perfect=True,
+        ),
+    ],
+    ids=["tagged-pop2", "fitness-8bit-tracked"],
+)
+def test_whole_grid_migration_matches_the_per_direction_reference(geometry, loss_rate, genome):
+    width, height, torus = geometry
+    config = GridConfig(
+        width=width, height=height, torus=torus, loss_rate=loss_rate, generations=1, **genome
+    )
+    fast = DeterministicGrid(config)
+    rng = np.random.default_rng([width, height, torus, int(loss_rate * 10), config.population])
+    R = GridConfig.RECEIVE_CAPACITY
+    shared_pe = collided = 0
+    for round_ in range(6):
+        scramble(fast, rng)
+        ref = copy.deepcopy(fast)
+        for step in range(4):
+            where = (round_, step)
+            if step == 0:
+                active = fast._everyone
+            else:
+                active = rng.random(config.n_pes) < 0.6  # an asynchronous subset
+            fast._transport_tick()
+            reference_transport(ref)
+            assert_same_migration_state(fast, ref, where + ("transport",))
+            full = (fast.stage_n >= R) & active
+            shared_pe += int((full.sum(axis=0) > 1).any())
+            collided += int(full.any() and config.population < R)
+            fast._inject_migrants(active)
+            reference_inject(ref, active)
+            assert_same_migration_state(fast, ref, where + ("inject",))
+            fast._refill_emigrants(active)
+            reference_refill(ref, active)
+            assert_same_migration_state(fast, ref, where + ("refill",))
+    assert shared_pe > 0  # some PE injected from several links in one step
+    if config.population < R:
+        assert collided > 0
+    if loss_rate > 0:
+        assert fast.lost.sum() > 0
 
 
 def test_torus_and_bounded_runs_differ():

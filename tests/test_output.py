@@ -106,6 +106,26 @@ def test_malformed_rows_name_their_row(text, fragment):
         read_genomes_csv(text, layout, "tilted")
 
 
+@pytest.mark.parametrize(
+    "bad,field",
+    [
+        ("x,0,{hex},{counter}", "pe_x"),
+        ("0,,{hex},{counter}", "pe_y"),
+        ("0,0,{hex},1.5", "counter"),
+        ("0,0,{hex}", "counter"),  # a short row
+        ("0,0,zz,{counter}", "genome_hex"),
+        ("0,0,ab,{counter}", "genome_hex"),  # hex, but not a genome
+    ],
+)
+def test_decode_errors_name_the_row_and_the_field(bad, field):
+    cfg, eng = simulate()
+    header, good = genomes_csv_text(eng.layout, eng.sample_end_state()).splitlines()[:2]
+    cells = good.split(",")
+    text = "\n".join([header, good, bad.format(hex=cells[2], counter=cells[3])]) + "\n"
+    with pytest.raises(GenomesCsvError, match=f"^row 3, field '{field}': "):
+        read_genomes_csv(text, eng.layout, cfg.policy)
+
+
 def test_blank_lines_are_skipped():
     cfg, eng = simulate()
     text = genomes_csv_text(eng.layout, eng.sample_end_state())

@@ -218,6 +218,24 @@ def test_skip_then_draw_is_a_slice_of_one_long_draw():
     assert np.array_equal(skipping.at(ids, start, np.arange(5)), whole[:, :5])
 
 
+def test_ragged_skip_then_at_equals_draws_taken_one_stream_at_a_time():
+    ids = np.array([3, 0, 2, 1])
+    counts = np.array([5, 0, 2, 7], dtype=np.uint64)
+    ragged = streams.StreamBank(seed=8, n_streams=5)
+    single = streams.StreamBank(seed=8, n_streams=5)
+    for bank in (ragged, single):
+        bank.draw(np.array([0, 3]), 3)
+    before = ragged.positions.copy()
+    start = ragged.skip(ids, counts)
+    assert np.array_equal(start, before[ids])
+    for i, k in enumerate(ids):
+        got = ragged.at(ids[i : i + 1], start[i : i + 1], np.arange(int(counts[i])))[0]
+        assert np.array_equal(got, single.draw_one(int(k), int(counts[i])))
+    assert np.array_equal(ragged.positions, single.positions)
+    assert ragged.positions[0] == before[0] == 3  # a zero count moves nothing
+    assert ragged.positions[4] == 0  # an unselected stream neither
+
+
 def test_cursors_wrap_mod_2_64():
     bank = streams.StreamBank(seed=3, n_streams=2)
     bank.positions[:] = MASK64 - 2  # three draws short of wrapping
