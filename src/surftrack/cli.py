@@ -37,7 +37,7 @@ from .sim.output import (
     read_manifest,
     write_manifest,
 )
-from .surface.annotation import SurfaceAnnotation
+from .surface.annotation import SurfaceAnnotation, residency
 from .surface.genome import GenomeLayout
 from .surface.sites import POLICIES
 
@@ -180,6 +180,10 @@ def _merge_config(args: argparse.Namespace) -> GridConfig:
     return GridConfig.from_dict(base)
 
 
+def _spread(values: np.ndarray) -> dict[str, float]:
+    return {"min": int(values.min()), "median": float(np.median(values)), "max": int(values.max())}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     config.validate()
@@ -215,18 +219,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if grid.tracker is not None:
         stats["tracker_rows"] = len(grid.tracker)
         stats["tracker_rows_pruned"] = grid.tracker.rows_pruned
+    # A sample's live slots depend on its counter alone: one residency
+    # table per distinct counter gives every sample's record count.
+    counters = np.array([s.fields.counter for s in samples], dtype=np.int64)
+    distinct, group = np.unique(counters, return_inverse=True)
+    held = [len(residency(config.policy, config.slot_count, c)[0]) for c in distinct.tolist()]
+    stats["sample_counters"] = _spread(counters)
+    stats["sample_records"] = _spread(np.array(held)[group])
     write_manifest(
         os.path.join(args.out, "manifest.json"), config, mode, outputs, duration, stats
     )
-    counters = [s.fields.counter for s in samples]
     print(
         f"simulated {config.width}x{config.height} grid for "
         f"{config.generations} generations in {grid.cycle} cycles "
         f"({mode}, seed {config.seed}) in {duration:.2f}s"
     )
+    print(f"wrote {len(samples)} genomes to {genomes_path}")
+    c, r = stats["sample_counters"], stats["sample_records"]
     print(
-        f"wrote {len(samples)} genomes to {genomes_path} "
-        f"(counters {min(counters)}..{max(counters)})"
+        f"sampled genomes: counters {c['min']}..{c['max']} (median {c['median']:g}), "
+        f"records {r['min']}..{r['max']} (median {r['median']:g})"
     )
     print(
         f"migrants: {stats['migrants_exported']} exported, "

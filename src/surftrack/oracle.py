@@ -14,6 +14,10 @@ Gap audits check the spacing guarantees the policies advertise:
   N is small enough for the surface; once ``floor(log2 N)`` reaches the
   overflow threshold ``(S - 2) / 2`` the bound may fail by design, and
   such violations are reported but flagged as clamp-regime.
+* hybrid: the even ranks alone form a steady surface of S/2 slots over
+  ceil(N/2) deposits, spaced two apart, and the odd ranks only split
+  its gaps, so every gap is at most
+  ``2 * steady_gap_bound(ceil(N/2), S/2)``.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ def check_gap_bounds(policy: str, slot_count: int, max_deposits: int) -> GapRepo
             elif policy == "tilted":
                 bound = max(4, n - b)
             else:
-                continue
+                bound = 2 * steady_gap_bound((n + 1) // 2, slot_count // 2)
             if gap > bound:
                 report.violations.append(
                     GapViolation(policy, slot_count, n, a, b, gap, bound, clamped)

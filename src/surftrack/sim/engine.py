@@ -449,41 +449,39 @@ class DeterministicGrid:
         parts.append(self.stage["gid"][occupied])
         return np.concatenate(parts)
 
-    def _lane_fields(self, p: int, i: int) -> GenomeFields:
-        cfg = self.config
-        if self.pop["surf"].ndim == 2:
-            word = int(self.pop["surf"][p, i])
-            surface = tuple((word >> k) & 1 for k in range(cfg.slot_count))
-        else:
-            surface = tuple(int(v) for v in self.pop["surf"][p, i])
-        return GenomeFields(
-            counter=int(self.pop["counter"][p, i]),
-            surface=surface,
-            founder_tag=int(self.pop["tag"][p, i]) if "tag" in self.pop else None,
-            fitness=float(self.pop["fit"][p, i]) if "fit" in self.pop else None,
-        )
-
     def sample_end_state(self, per_pe: int | None = None) -> list[SampledGenome]:
         """Uniform seeded sample of ``per_pe`` genomes from every PE."""
         cfg = self.config
         k = cfg.sample_per_pe if per_pe is None else per_pe
-        out = []
         picks = streams.to_index(self.bank.draw(self._all, k), cfg.population)
-        for p, idx in enumerate(picks.tolist()):
-            x, y = p % cfg.width, p // cfg.width
-            for j, i in enumerate(idx):
-                out.append(
-                    SampledGenome(
-                        pe_x=x,
-                        pe_y=y,
-                        label=f"pe{x}_{y}_{j}",
-                        fields=self._lane_fields(p, i),
-                        tracker_id=(
-                            int(self.pop["gid"][p, i]) if self.tracker is not None else None
-                        ),
-                    )
-                )
-        return out
+        lanes = (picks + self._row_base).reshape(-1)
+        col = {
+            name: arr.reshape((-1,) + arr.shape[2:]).take(lanes, axis=0)
+            for name, arr in self.pop.items()
+        }
+        surf = col["surf"]
+        if surf.ndim == 1:  # 1-bit surfaces: slot j is bit j of the word
+            octets = surf.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+            surf = np.unpackbits(octets, axis=1, count=cfg.slot_count, bitorder="little")
+        none = [None] * len(lanes)
+        pe = np.repeat(self._all, k)
+        fields = map(
+            GenomeFields,
+            col["counter"].tolist(),
+            map(tuple, surf.tolist()),
+            col["tag"].tolist() if "tag" in col else none,
+            col["fit"].tolist() if "fit" in col else none,
+        )
+        return [
+            SampledGenome(x, y, f"pe{x}_{y}_{j}", f, gid)
+            for x, y, j, f, gid in zip(
+                (pe % cfg.width).tolist(),
+                (pe // cfg.width).tolist(),
+                list(range(k)) * cfg.n_pes,
+                fields,
+                col["gid"].tolist() if "gid" in col else none,
+            )
+        ]
 
     def founder_tag_count(self) -> int:
         """Distinct founder tags still alive anywhere (population only)."""

@@ -10,8 +10,8 @@ import time
 from dataclasses import dataclass
 
 from .. import __version__
-from ..surface.annotation import RecordSet, SurfaceAnnotation
-from ..surface.genome import GenomeLayout, pack_genome, unpack_genome
+from ..surface.annotation import RecordSet, surface_records
+from ..surface.genome import GenomeLayout, pack_genomes, unpack_genomes
 from .config import GridConfig
 from .engine import SampledGenome
 
@@ -24,12 +24,21 @@ def genomes_csv_text(layout: GenomeLayout, samples: list[SampledGenome]) -> str:
     """Render sampled genomes as CSV; column set depends on the layout."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    extra = "founder_tag" if layout.kind == "tagged" else "fitness"
+    tagged = layout.kind == "tagged"
+    extra = "founder_tag" if tagged else "fitness"
     writer.writerow(("pe_x", "pe_y", "genome_hex", "counter", extra))
-    for s in samples:
-        blob = pack_genome(layout, s.fields)
-        tail = s.fields.founder_tag if layout.kind == "tagged" else repr(s.fields.fitness)
-        writer.writerow((s.pe_x, s.pe_y, blob.hex(), s.fields.counter, tail))
+    text = pack_genomes(layout, [s.fields for s in samples]).tobytes().hex()
+    width = 2 * layout.total_bytes
+    writer.writerows(
+        (
+            s.pe_x,
+            s.pe_y,
+            text[i * width : (i + 1) * width],
+            s.fields.counter,
+            s.fields.founder_tag if tagged else repr(s.fields.fitness),
+        )
+        for i, s in enumerate(samples)
+    )
     return buf.getvalue()
 
 
@@ -63,7 +72,9 @@ def read_genomes_csv(
     Labels are derived as pe{x}_{y}_{j}, with j counting rows per PE in
     file order, mirroring how the simulator labels its samples.  The
     redundant counter column must agree with the packed counter.  A
-    decode error names the row and the field it failed on.
+    decode error names the row and the field it failed on.  Every row's
+    fields are parsed first, so a malformed field anywhere is reported
+    before a counter disagreement; then all genomes decode in one pass.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -74,43 +85,47 @@ def read_genomes_csv(
     for required in ("pe_x", "pe_y", "genome_hex", "counter"):
         if required not in cols:
             raise GenomesCsvError(f"row 1: missing required column {required!r}")
-    rows: list[GenomeRow] = []
-    seen: dict[tuple[int, int], int] = {}
+
+    def genome(cell: str) -> bytes:
+        return layout.check_length(bytes.fromhex(cell))
+
+    fields = (("pe_x", int), ("pe_y", int), ("counter", int), ("genome_hex", genome))
+    at = [cols[name] for name, _ in fields]
+    size = layout.total_bytes
+    rownums: list[int] = []
+    parsed: list[tuple[int, int, int, bytes]] = []
     for rownum, row in enumerate(reader, start=2):
-        if not row or not any(cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
-        x = _cell(row, cols, rownum, "pe_x", int)
-        y = _cell(row, cols, rownum, "pe_y", int)
-        counter = _cell(row, cols, rownum, "counter", int)
-        blob = _cell(row, cols, rownum, "genome_hex", bytes.fromhex)
         try:
-            fields = unpack_genome(layout, blob)
-        except ValueError as err:
-            raise GenomesCsvError(f"row {rownum}, field 'genome_hex': {err}") from None
-        if fields.counter != counter:
+            cells = [row[i].strip() for i in at]
+            x, y, counter = int(cells[0]), int(cells[1]), int(cells[2])
+            blob = bytes.fromhex(cells[3])
+        except (IndexError, ValueError):
+            blob = b""
+        if len(blob) != size:
+            # Parse the row again one field at a time, to name the bad field.
+            x, y, counter, blob = (_cell(row, cols, rownum, *field) for field in fields)
+        rownums.append(rownum)
+        parsed.append((x, y, counter, blob))
+    xs, ys, counters, blobs = zip(*parsed) if parsed else ((), (), (), ())
+    genomes = unpack_genomes(layout, b"".join(blobs))
+    for rownum, counter, packed in zip(rownums, counters, genomes.counter.tolist()):
+        if packed != counter:
             raise GenomesCsvError(
                 f"row {rownum}: counter column says {counter} but genome "
-                f"encodes {fields.counter}"
+                f"encodes {packed}"
             )
+    records = surface_records(policy, layout.slot_count, genomes.counter, genomes.surface)
+    none = [None] * len(blobs)
+    tags = none if genomes.founder_tag is None else genomes.founder_tag.tolist()
+    fits = none if genomes.fitness is None else genomes.fitness.tolist()
+    rows: list[GenomeRow] = []
+    seen: dict[tuple[int, int], int] = {}
+    for x, y, rec, tag, fit in zip(xs, ys, records, tags, fits):
         j = seen.get((x, y), 0)
         seen[(x, y)] = j + 1
-        ann = SurfaceAnnotation(
-            policy,
-            layout.slot_count,
-            layout.differentia_bits,
-            counter=fields.counter,
-            slots=list(fields.surface),
-        )
-        rows.append(
-            GenomeRow(
-                pe_x=x,
-                pe_y=y,
-                label=f"pe{x}_{y}_{j}",
-                records=ann.to_records(),
-                founder_tag=fields.founder_tag,
-                fitness=fields.fitness,
-            )
-        )
+        rows.append(GenomeRow(x, y, f"pe{x}_{y}_{j}", rec, tag, fit))
     return rows
 
 
@@ -120,12 +135,13 @@ def write_manifest(
     mode: str,
     outputs: dict[str, str],
     duration_seconds: float,
-    stats: dict[str, int] | None = None,
+    stats: dict | None = None,
 ) -> None:
     """Atomically write the run manifest next to its outputs.
 
-    ``stats`` is the run's telemetry (cycles, migrant counts); it is
-    written as the ``stats`` block when given.
+    ``stats`` is the run's telemetry (cycles, migrant counts, the spread
+    of the sampled genomes' counters and record counts); it is written
+    as the ``stats`` block when given.
     """
     payload = {
         "tool": {"name": "surftrack", "version": __version__},

@@ -1,7 +1,17 @@
 """Fixed-width lineage fingerprint surfaces."""
 
-from .annotation import RecordSet, SurfaceAnnotation
-from .genome import FITNESS, TAGGED, GenomeFields, GenomeLayout, pack_genome, unpack_genome
+from .annotation import RecordSet, SurfaceAnnotation, residency, surface_records
+from .genome import (
+    FITNESS,
+    TAGGED,
+    GenomeColumns,
+    GenomeFields,
+    GenomeLayout,
+    pack_genome,
+    pack_genomes,
+    unpack_genome,
+    unpack_genomes,
+)
 from .sites import (
     POLICIES,
     hanoi_value,
@@ -16,6 +26,7 @@ from .sites import (
 
 __all__ = [
     "FITNESS",
+    "GenomeColumns",
     "GenomeFields",
     "GenomeLayout",
     "POLICIES",
@@ -25,11 +36,15 @@ __all__ = [
     "hanoi_value",
     "hybrid_site",
     "pack_genome",
+    "pack_genomes",
     "resident_rank",
+    "residency",
     "site",
     "site_array",
     "steady_site",
+    "surface_records",
     "tilted_site",
     "unpack_genome",
+    "unpack_genomes",
     "validate_slot_count",
 ]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import sites
 
 
@@ -87,10 +89,53 @@ class SurfaceAnnotation:
 
     def to_records(self) -> RecordSet:
         """Extract all recoverable (rank, differentia) pairs."""
-        pairs = []
-        for slot in range(self.slot_count):
-            rank = self.resident_rank(slot)
-            if rank is not None:
-                pairs.append((rank, self.slots[slot]))
-        pairs.sort()
-        return RecordSet(tuple(pairs), self.counter)
+        ranks, slots = residency(self.policy, self.slot_count, self.counter)
+        return RecordSet(tuple(zip(ranks, [self.slots[s] for s in slots])), self.counter)
+
+
+def residency(
+    policy: str, slot_count: int, counter: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ranks resident after ``counter`` deposits, ascending, and the
+    slots that hold them.
+
+    Residency depends on the counter alone, so every surface with the
+    same counter reads its records through the same table.  No two slots
+    hold one rank, so ordering by rank fixes the slot order too.
+    """
+    sites.validate_slot_count(policy, slot_count)
+    held = sorted(
+        (rank, slot)
+        for slot in range(slot_count)
+        if (rank := sites.resident_rank(policy, slot, counter, slot_count)) is not None
+    )
+    return tuple(r for r, _ in held), tuple(s for _, s in held)
+
+
+def surface_records(
+    policy: str, slot_count: int, counters: np.ndarray, surfaces: np.ndarray
+) -> list[RecordSet]:
+    """Record sets of many surfaces at once, one per row of ``surfaces``.
+
+    ``counters`` is (n,) and ``surfaces`` is an (n, slot_count) uint8
+    array.  The residency table is computed once per distinct counter,
+    and each distinct (rank, value) pair is built once and shared by the
+    record sets that hold it.
+    """
+    out: list[RecordSet] = [None] * len(counters)  # type: ignore[list-item]
+    distinct, group = np.unique(np.asarray(counters, dtype=np.int64), return_inverse=True)
+    rows = np.argsort(group, kind="stable")
+    cuts = np.cumsum(np.bincount(group, minlength=len(distinct)))[:-1]
+    for counter, members in zip(distinct.tolist(), np.split(rows, cuts)):
+        ranks, slots = residency(policy, slot_count, counter)
+        # Record k of a surface holding value v has code 256 * k + v.
+        codes = surfaces[np.ix_(members, np.asarray(slots, dtype=np.intp))].astype(np.int64)
+        codes += np.arange(len(slots), dtype=np.int64) << 8
+        used, index = np.unique(codes, return_inverse=True)
+        pairs = np.fromiter(
+            ((ranks[code >> 8], code & 0xFF) for code in used.tolist()), dtype=object
+        )
+        entries = pairs[index].reshape(codes.shape).tolist()
+        for row, held in zip(members.tolist(), entries):
+            out[row] = RecordSet(tuple(held), counter)
+    return out

@@ -12,12 +12,19 @@ bits [k*w, (k+1)*w) of the region interpreted as one little-endian
 integer, i.e. slot 0 sits in the lowest bits of the first byte.  Other
 slot counts and differentia widths pack the same way, so the codec also
 serves non-standard surfaces.
+
+The codec is columnar: :func:`pack_genomes` and :func:`unpack_genomes`
+handle many genomes in one numpy pass, and the scalar
+:func:`pack_genome` and :func:`unpack_genome` are one-genome calls of
+the same code.
 """
 
 from __future__ import annotations
 
-import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,24 @@ class GenomeLayout:
     def total_bytes(self) -> int:
         return self.header_bytes + self.counter_bytes + self.surface_bytes
 
+    @property
+    def dtype(self) -> np.dtype:
+        """One genome as a packed numpy record: head, counter, surface bytes."""
+        head = "<u2" if self.kind == "tagged" else "<f4"
+        counter = "<u2" if self.kind == "tagged" else "<u4"
+        return np.dtype(
+            [("head", head), ("counter", counter), ("surface", "u1", (self.surface_bytes,))]
+        )
+
+    def check_length(self, blob: bytes) -> bytes:
+        """``blob`` itself if it is exactly one genome long; else ValueError."""
+        if len(blob) != self.total_bytes:
+            raise ValueError(
+                f"genome is {len(blob)} bytes; {self.kind} layout with "
+                f"{self.slot_count} slots needs {self.total_bytes}"
+            )
+        return blob
+
 
 TAGGED = GenomeLayout("tagged")
 FITNESS = GenomeLayout("fitness")
@@ -71,51 +96,142 @@ class GenomeFields:
     fitness: float | None = None
 
 
+@dataclass(frozen=True)
+class GenomeColumns:
+    """Decoded contents of many genomes, one array per field."""
+
+    counter: np.ndarray  # (n,) int64
+    surface: np.ndarray  # (n, slot_count) uint8
+    founder_tag: np.ndarray | None = None  # (n,) int64; tagged layout only
+    fitness: np.ndarray | None = None  # (n,) float32; fitness layout only
+
+    def to_fields(self) -> list[GenomeFields]:
+        none = [None] * len(self.counter)
+        tags = none if self.founder_tag is None else self.founder_tag.tolist()
+        fits = none if self.fitness is None else self.fitness.tolist()
+        return [
+            GenomeFields(counter=c, surface=tuple(s), founder_tag=t, fitness=f)
+            for c, s, t, f in zip(self.counter.tolist(), self.surface.tolist(), tags, fits)
+        ]
+
+
+def _ints(values) -> np.ndarray:
+    """``values`` as int64, or as Python ints where int64 cannot hold them."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _check(layout: GenomeLayout, fields, counter, surface, head) -> None:
+    """Raise for the first genome that fails a check, naming its first failure.
+
+    Each genome is checked in one fixed order: counter range, surface
+    length, slot values, then the header field's presence and range.
+    """
+    n, S, w = len(fields), layout.slot_count, layout.differentia_bits
+    value_bad = np.asarray((surface < 0) | (surface >= 1 << w), dtype=bool)
+
+    def value_error(i: int) -> ValueError:
+        k = int(np.argmax(value_bad[i]))
+        return ValueError(f"slot {k} value {fields[i].surface[k]} out of range for {w} bit(s)")
+
+    checks = [
+        (
+            (counter < 0) | (counter >= layout.counter_capacity),
+            lambda i: ValueError(
+                f"counter {fields[i].counter} does not fit in {layout.counter_bytes} bytes"
+            ),
+        ),
+        (
+            np.full(n, surface.shape[1] != S),
+            lambda i: ValueError(f"expected {S} surface values, got {len(fields[i].surface)}"),
+        ),
+        (value_bad.any(axis=1), value_error),
+    ]
+    if layout.kind == "tagged":
+        missing = np.array([f.founder_tag is None for f in fields], dtype=bool)
+        checks += [
+            (missing, lambda i: ValueError("tagged layout requires founder_tag")),
+            (
+                ~missing & ((head < 0) | (head >= 1 << 16)),
+                lambda i: ValueError(
+                    f"founder_tag {fields[i].founder_tag} does not fit in 16 bits"
+                ),
+            ),
+        ]
+    else:
+        missing = np.array([f.fitness is None for f in fields], dtype=bool)
+        # A finite value that float32 cannot hold; struct.pack("<f") refuses it too.
+        with np.errstate(over="ignore"):
+            overflow = np.isfinite(head) & np.isinf(head.astype(np.float32))
+        checks += [
+            (missing, lambda i: ValueError("fitness layout requires fitness")),
+            (overflow, lambda i: OverflowError("float too large to pack with f format")),
+        ]
+    masks = [np.asarray(bad, dtype=bool) for bad, _ in checks]
+    first = min((int(np.argmax(bad)) for bad in masks if bad.any()), default=None)
+    if first is not None:
+        raise next(error(first) for bad, (_, error) in zip(masks, checks) if bad[first])
+
+
+def _pack_rows(layout: GenomeLayout, fields: Sequence[GenomeFields]) -> np.ndarray:
+    n, S, w = len(fields), layout.slot_count, layout.differentia_bits
+    out = np.zeros(n, dtype=layout.dtype)
+    if not n:
+        return out.view(np.uint8).reshape(0, layout.total_bytes)
+    counter = _ints([f.counter for f in fields])
+    surface = _ints([f.surface for f in fields]).reshape(n, -1)
+    if layout.kind == "tagged":
+        head = _ints([0 if f.founder_tag is None else f.founder_tag for f in fields])
+    else:
+        head = np.array([0.0 if f.fitness is None else f.fitness for f in fields])
+    _check(layout, fields, counter, surface, head)
+    out["head"] = head
+    out["counter"] = counter
+    # Slot k's value occupies bits [k*w, (k+1)*w) of the little-endian surface.
+    bits = (surface[:, :, None] >> np.arange(w)) & 1
+    out["surface"] = np.packbits(
+        bits.reshape(n, S * w).astype(np.uint8), axis=1, bitorder="little"
+    )
+    return out.view(np.uint8).reshape(n, layout.total_bytes)
+
+
+def pack_genomes(layout: GenomeLayout, fields: Sequence[GenomeFields]) -> np.ndarray:
+    """Encode many genomes per ``layout``: an (n, total_bytes) uint8 array.
+
+    Strict about ranges and presence: raises for the first genome that
+    packing one at a time would reject, with that genome's message.
+    """
+    S = layout.slot_count
+    short = next((i for i, f in enumerate(fields) if len(f.surface) != S), len(fields))
+    packed = _pack_rows(layout, fields[:short])
+    if short < len(fields):
+        _pack_rows(layout, fields[short : short + 1])  # raises for this genome
+    return packed
+
+
+def unpack_genomes(layout: GenomeLayout, data) -> GenomeColumns:
+    """Decode back-to-back genomes from ``data``, any bytes-like object
+    whose length is a whole number of genomes."""
+    rec = np.frombuffer(data, dtype=layout.dtype)
+    n, S, w = len(rec), layout.slot_count, layout.differentia_bits
+    bits = np.unpackbits(rec["surface"], axis=1, count=S * w, bitorder="little")
+    surface = (bits.reshape(n, S, w) << np.arange(w, dtype=np.uint8)).sum(axis=2, dtype=np.uint8)
+    tagged = layout.kind == "tagged"
+    return GenomeColumns(
+        counter=rec["counter"].astype(np.int64),
+        surface=surface,
+        founder_tag=rec["head"].astype(np.int64) if tagged else None,
+        fitness=None if tagged else rec["head"].astype(np.float32),
+    )
+
+
 def pack_genome(layout: GenomeLayout, fields: GenomeFields) -> bytes:
     """Encode ``fields`` per ``layout``; strict about ranges and presence."""
-    if not 0 <= fields.counter < layout.counter_capacity:
-        raise ValueError(
-            f"counter {fields.counter} does not fit in {layout.counter_bytes} bytes"
-        )
-    if len(fields.surface) != layout.slot_count:
-        raise ValueError(
-            f"expected {layout.slot_count} surface values, got {len(fields.surface)}"
-        )
-    w = layout.differentia_bits
-    acc = 0
-    for k, v in enumerate(fields.surface):
-        if not 0 <= v < (1 << w):
-            raise ValueError(f"slot {k} value {v} out of range for {w} bit(s)")
-        acc |= v << (k * w)
-    surface = acc.to_bytes(layout.surface_bytes, "little")
-    if layout.kind == "tagged":
-        if fields.founder_tag is None:
-            raise ValueError("tagged layout requires founder_tag")
-        if not 0 <= fields.founder_tag < (1 << 16):
-            raise ValueError(f"founder_tag {fields.founder_tag} does not fit in 16 bits")
-        head = struct.pack("<HH", fields.founder_tag, fields.counter)
-    else:
-        if fields.fitness is None:
-            raise ValueError("fitness layout requires fitness")
-        head = struct.pack("<fI", fields.fitness, fields.counter)
-    return head + surface
+    return pack_genomes(layout, [fields]).tobytes()
 
 
 def unpack_genome(layout: GenomeLayout, blob: bytes) -> GenomeFields:
     """Decode ``blob`` per ``layout``; length must match exactly."""
-    if len(blob) != layout.total_bytes:
-        raise ValueError(
-            f"genome is {len(blob)} bytes; {layout.kind} layout with "
-            f"{layout.slot_count} slots needs {layout.total_bytes}"
-        )
-    if layout.kind == "tagged":
-        tag, counter = struct.unpack_from("<HH", blob)
-        fitness = None
-    else:
-        fitness, counter = struct.unpack_from("<fI", blob)
-        tag = None
-    w = layout.differentia_bits
-    acc = int.from_bytes(blob[layout.header_bytes + layout.counter_bytes :], "little")
-    mask = (1 << w) - 1
-    surface = tuple((acc >> (k * w)) & mask for k in range(layout.slot_count))
-    return GenomeFields(counter=counter, surface=surface, founder_tag=tag, fitness=fitness)
+    return unpack_genomes(layout, layout.check_length(blob)).to_fields()[0]

@@ -1,4 +1,4 @@
-"""The ship gate: ten end-to-end checks, one test per check.
+"""The ship gate: eleven end-to-end checks, one test per check.
 
 Each test here states a user-visible promise of the package and holds
 it to a concrete threshold, so a verbose run of this file doubles as a
@@ -79,6 +79,15 @@ def test_03_tilted_policy_keeps_its_recency_bound():
         assert report.hard_violations == [], (slots, report.hard_violations[:3])
         if (slots - 2) // 2 > 14:  # 2**14 deposits never reach the clamp regime
             assert report.violations == [], (slots, report.violations[:3])
+
+
+def test_03b_hybrid_policy_keeps_its_halved_steady_bound():
+    """Hybrid surfaces keep every gap within twice the steady bound of
+    their even half, 2 * steady_gap_bound(ceil(N/2), S/2), and retain
+    rank 0, at any deposit count through 2**14 on any size."""
+    for slots in SLOT_COUNTS:
+        report = oracle.check_gap_bounds("hybrid", slots, 1 << 14)
+        assert report.violations == [], (slots, report.violations[:3])
 
 
 def test_04_exact_regime_reconstruction_matches_tracked_truth():

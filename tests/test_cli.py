@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
 import os
+import statistics
 
 import pytest
 
@@ -95,8 +96,16 @@ def test_parallel_reruns_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("extra", [(), ("--parallel",)], ids=["lockstep", "asynchronous"])
 def test_simulate_reports_run_stats(tmp_path, capsys, extra):
     assert simulate_into(tmp_path, *extra) == 0
-    stats = read_manifest(str(tmp_path / "manifest.json"))["stats"]
-    assert set(stats) == {"cycles", "migrants_imported", "migrants_exported", "migrants_lost"}
+    manifest = read_manifest(str(tmp_path / "manifest.json"))
+    stats = manifest["stats"]
+    assert set(stats) == {
+        "cycles",
+        "migrants_imported",
+        "migrants_exported",
+        "migrants_lost",
+        "sample_counters",
+        "sample_records",
+    }
     if extra:
         assert stats["cycles"] > 20  # some PEs stalled on some cycles
     else:
@@ -112,6 +121,25 @@ def test_simulate_reports_run_stats(tmp_path, capsys, extra):
     # still staged has been exported without being imported yet.
     assert 0 < stats["migrants_imported"] <= stats["migrants_exported"]
     assert stats["migrants_imported"] % 4 == 0
+    # The sample spreads agree with what genomes.csv decodes to.
+    cfg = manifest["config"]
+    rows = read_genomes_csv(
+        (tmp_path / "genomes.csv").read_text(),
+        GenomeLayout(cfg["layout"], cfg["slot_count"], cfg["differentia_bits"]),
+        cfg["policy"],
+    )
+    for key, values in (
+        ("sample_counters", [r.records.counter for r in rows]),
+        ("sample_records", [len(r.records) for r in rows]),
+    ):
+        assert stats[key] == {
+            "min": min(values), "median": statistics.median(values), "max": max(values)
+        }
+    c, r = stats["sample_counters"], stats["sample_records"]
+    assert (
+        f"sampled genomes: counters {c['min']}..{c['max']} (median {c['median']:g}), "
+        f"records {r['min']}..{r['max']} (median {r['median']:g})"
+    ) in out
 
 
 @pytest.mark.parametrize("extra", [(), ("--parallel",)], ids=["lockstep", "asynchronous"])

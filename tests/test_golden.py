@@ -14,8 +14,14 @@ The cases in ASYNCHRONOUS run the step-or-stall schedule; they have no
 earlier engine to agree with, so their hashes were recorded when that
 mode was added and pin it against drift.
 
+DECODED pins what ``read_genomes_csv`` makes of each case's
+``genomes.csv``: a canonical rendering of every row's label, records,
+founder tag and fitness repr.  Its hashes were recorded with the
+per-genome decoder that preceded the columnar one, so they check that
+the two agree.
+
 To regenerate after a deliberate protocol change, run this module as a
-script with the package on the path; it prints the new table.
+script with the package on the path; it prints the new tables.
 """
 
 import hashlib
@@ -26,7 +32,7 @@ import pytest
 from surftrack.phylo.serialize import export_alife_csv
 from surftrack.sim.config import GridConfig, Treatment
 from surftrack.sim.engine import DeterministicGrid
-from surftrack.sim.output import genomes_csv_text
+from surftrack.sim.output import genomes_csv_text, read_genomes_csv
 
 CASES = {
     "tagged-neutral": dict(),
@@ -99,17 +105,35 @@ GOLDEN = {
 }
 
 
+DECODED = {
+    "adaptive-hybrid": "a588103c641839c4d7f0834bf3d917050ecf3a8b75a5025a6290ef41d19ca6fe",
+    "adaptive-steady-tracked": "33dc568790bc1e86c6a7abbfc8048bc4711bc460046e3e6e9c7080d78ea63664",
+    "async-lossy-tracked": "84646f33a144246a36b40e9c5ff33b42704325fc19935a9f42db106c6ddaaa96",
+    "fitness-neutral": "1ef36d264854645678ce6657cf243aac0097083c4b4b7b4911750eaa2f07ee51",
+    "purifying-8bit": "622bff8a84a1992315f98eb22aecd5d2c8c99fe095ea8116704bd869648cdac8",
+    "purifying-steady": "880cc00e8b089bb7282280f84101405dea923cc322b90170cf682c743b46eff1",
+    "tagged-lossy-torus-tracked": "5ce57d921d72eb94ffd17484ee9641a548980165ba7a454404b1704e9345465d",
+    "tagged-neutral": "c15cc1e752e6456854c3b3720ec046564f166266f0b5a8d47952c4fdccdf3f49",
+    "tagged-tracked-400": "fb22c52b42f8b2aede72e655a3f684b93ed9ff32e7e639acf1a29b361d93ee3b",
+}
+
+
 def case_config(name: str) -> GridConfig:
     base = dict(width=3, height=3, generations=150, population=8, seed=5, sample_per_pe=3)
     base.update(CASES[name])
     return GridConfig(**base)
 
 
-def artifact_hashes(config: GridConfig, asynchronous: bool = False) -> dict[str, str]:
+def case_genomes_csv(config: GridConfig, asynchronous: bool = False):
     grid = DeterministicGrid(config, asynchronous=asynchronous)
     grid.run()
     samples = grid.sample_end_state()
-    texts = {"genomes.csv": genomes_csv_text(config.genome_layout(), samples)}
+    return grid, samples, genomes_csv_text(config.genome_layout(), samples)
+
+
+def artifact_hashes(config: GridConfig, asynchronous: bool = False) -> dict[str, str]:
+    grid, samples, text = case_genomes_csv(config, asynchronous)
+    texts = {"genomes.csv": text}
     if grid.tracker is not None:
         tree = grid.tracker.to_tree(
             np.array([s.tracker_id for s in samples], dtype=np.int64),
@@ -120,9 +144,23 @@ def artifact_hashes(config: GridConfig, asynchronous: bool = False) -> dict[str,
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
 
 
+def decoded_hash(config: GridConfig, asynchronous: bool = False) -> str:
+    text = case_genomes_csv(config, asynchronous)[2]
+    rows = read_genomes_csv(text, config.genome_layout(), config.policy)
+    rendering = "".join(
+        f"{r.label} {r.records!r} {r.founder_tag!r} {r.fitness!r}\n" for r in rows
+    )
+    return hashlib.sha256(rendering.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_pinned_hashes(name):
     assert artifact_hashes(case_config(name), name in ASYNCHRONOUS) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decoded_rows_match_pinned_hashes(name):
+    assert decoded_hash(case_config(name), name in ASYNCHRONOUS) == DECODED[name]
 
 
 if __name__ == "__main__":
@@ -131,3 +169,4 @@ if __name__ == "__main__":
     pprint.pprint(
         {name: artifact_hashes(case_config(name), name in ASYNCHRONOUS) for name in CASES}
     )
+    pprint.pprint({name: decoded_hash(case_config(name), name in ASYNCHRONOUS) for name in CASES})

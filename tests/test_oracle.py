@@ -87,6 +87,23 @@ def test_gap_report_tilted_wide_surface_clean():
     assert report.violations == []
 
 
+def test_gap_report_hybrid_clean():
+    report = oracle.check_gap_bounds("hybrid", 16, 4096)
+    assert report.violations == []
+
+
+def test_gap_report_hybrid_reports_a_tightened_bound(monkeypatch):
+    """The hybrid bound is met with equality somewhere, so halving it
+    must surface violations rather than pass silently."""
+    real = oracle.steady_gap_bound
+    monkeypatch.setattr(oracle, "steady_gap_bound", lambda n, s: max(1, real(n, s) // 2))
+    report = oracle.check_gap_bounds("hybrid", 16, 4096)
+    assert report.violations
+    assert report.hard_violations == report.violations  # hybrid has no clamp regime
+    v = report.violations[0]
+    assert v.policy == "hybrid" and v.gap > v.bound
+
+
 def test_gap_violation_records_context():
     report = oracle.check_gap_bounds("tilted", 8, 32)
     v = report.violations[0]
