@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: simulate, reconstruct, metrics, compare, oracle, bench.
+Subcommands: simulate, reconstruct, metrics, compare, oracle.
 Exit codes: 0 success, 1 failure (bad data, violated checks), 2 usage.
 """
 
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import json
 import os
 import sys
 import time
@@ -37,7 +36,7 @@ from .sim.output import (
     read_manifest,
     write_manifest,
 )
-from .surface.annotation import SurfaceAnnotation, residency
+from .surface.annotation import residency
 from .surface.genome import GenomeLayout
 from .surface.sites import POLICIES
 
@@ -129,11 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="tolerate tilted gap violations in the overflow (clamp) regime",
     )
-
-    ben = sub.add_parser("bench", help="informal throughput measurements")
-    ben.add_argument("--deposits", type=int, default=200_000)
-    ben.add_argument("--grid", type=_grid_pair, default=(3, 3))
-    ben.add_argument("--generations", type=int, default=200)
     return parser
 
 
@@ -143,10 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> GridConfig:
     base: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
-            raise ConfigError(f"{args.config}: expected a JSON object")
+        base = read_manifest(args.config)
         # Accept either a bare config or a full manifest.
         if "config" in base and isinstance(base["config"], dict):
             base = base["config"]
@@ -327,10 +318,13 @@ def _load_tree(path: str):
     ext = os.path.splitext(path)[1].lower()
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if ext == ".newick":
-        return parse_newick(text)
-    if ext == ".csv":
-        return import_alife_csv(text)
+    try:
+        if ext == ".newick":
+            return parse_newick(text)
+        if ext == ".csv":
+            return import_alife_csv(text)
+    except (NewickParseError, AlifeCsvError) as err:
+        raise type(err)(f"{path}: {err}") from None
     raise ValueError(f"unsupported tree extension {ext!r}; use .newick or .csv")
 
 
@@ -372,10 +366,13 @@ def _metric_values(pattern: str, metric: str) -> list[float]:
                 mi, vi = header.index("metric"), header.index("value")
             except ValueError:
                 raise ValueError(f"{path}: expected a tree,metric,value CSV") from None
-            for line in fh:
+            for rownum, line in enumerate(fh, start=2):
                 parts = line.strip().split(",")
                 if len(parts) > max(mi, vi) and parts[mi] == metric:
-                    values.append(float(parts[vi]))
+                    try:
+                        values.append(float(parts[vi]))
+                    except ValueError as err:
+                        raise ValueError(f"{path}: row {rownum}, field 'value': {err}") from None
     return values
 
 
@@ -431,47 +428,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- bench ---------------------------------------------------------------------
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    print(f"host: python {sys.version.split()[0]}, numpy {np.__version__}")
-    for policy in POLICIES:
-        ann = SurfaceAnnotation(policy, 64)
-        n = args.deposits
-        t0 = time.perf_counter()
-        for _ in range(n):
-            ann.deposit(1)
-        dt = time.perf_counter() - t0
-        print(f"deposit throughput [{policy:>6}]: {n / dt:,.0f} deposits/sec")
-    w, h = args.grid
-    for tracking in (False, True):
-        config = GridConfig(
-            width=w,
-            height=h,
-            generations=args.generations,
-            seed=0,
-            track_perfect=tracking,
-        )
-        grid = DeterministicGrid(config)
-        t0 = time.perf_counter()
-        grid.run()
-        dt = time.perf_counter() - t0
-        label = "tracked" if tracking else "untracked"
-        print(
-            f"simulation [{w}x{h}, pop {config.population}, {label}]: "
-            f"{args.generations / dt:,.1f} generations/sec"
-        )
-    return 0
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "reconstruct": cmd_reconstruct,
     "metrics": cmd_metrics,
     "compare": cmd_compare,
     "oracle": cmd_oracle,
-    "bench": cmd_bench,
 }
 
 

@@ -22,23 +22,37 @@ Gap audits check the spacing guarantees the policies advertise:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .surface import sites
+from .surface.annotation import residency
+
+
+def replay(
+    policy: str, slot_count: int, counts: Iterable[int]
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Yield ``(n, slot -> resident rank)`` after each of the ascending
+    deposit ``counts``, by placing every rank from 0 with ``site`` alone.
+
+    One dict is updated in place between yields, so a whole sequence of
+    counts costs one pass; no inversion formulas involved.
+    """
+    retained: dict[int, int] = {}
+    rank = 0
+    for n in counts:
+        while rank < n:
+            slot = sites.site(policy, rank, slot_count)
+            if slot is not None:
+                retained[slot] = rank
+            rank += 1
+        yield n, retained
 
 
 def replay_retained(policy: str, slot_count: int, n_deposits: int) -> dict[int, int]:
-    """Map slot -> resident rank after ``n_deposits``, by brute replay.
-
-    O(n_deposits); no inversion formulas involved.
-    """
+    """Map slot -> resident rank after ``n_deposits``, by brute replay."""
     sites.validate_slot_count(policy, slot_count)
-    retained: dict[int, int] = {}
-    for rank in range(n_deposits):
-        slot = sites.site(policy, rank, slot_count)
-        if slot is not None:
-            retained[slot] = rank
-    return retained
+    return next(replay(policy, slot_count, [n_deposits]))[1]
 
 
 def retained_ranks(policy: str, slot_count: int, n_deposits: int) -> list[int]:
@@ -48,12 +62,8 @@ def retained_ranks(policy: str, slot_count: int, n_deposits: int) -> list[int]:
 
 def closed_form_retained(policy: str, slot_count: int, n_deposits: int) -> dict[int, int]:
     """Map slot -> resident rank via the closed-form inversions."""
-    out: dict[int, int] = {}
-    for slot in range(slot_count):
-        rank = sites.resident_rank(policy, slot, n_deposits, slot_count)
-        if rank is not None:
-            out[slot] = rank
-    return out
+    ranks, slots = residency(policy, slot_count, n_deposits)
+    return dict(zip(slots, ranks))
 
 
 @dataclass(frozen=True)
@@ -80,17 +90,10 @@ def equivalence_mismatches(
     if not wanted or wanted[0] < 0:
         raise ValueError("deposit counts must be non-negative")
     out: list[Mismatch] = []
-    retained: dict[int, int] = {}
-    rank = 0
-    for n in wanted:
-        while rank < n:
-            slot = sites.site(policy, rank, slot_count)
-            if slot is not None:
-                retained[slot] = rank
-            rank += 1
+    for n, retained in replay(policy, slot_count, wanted):
+        inverted = closed_form_retained(policy, slot_count, n)
         for slot in range(slot_count):
-            inv = sites.resident_rank(policy, slot, n, slot_count)
-            rep = retained.get(slot)
+            inv, rep = inverted.get(slot), retained.get(slot)
             if inv != rep:
                 out.append(Mismatch(policy, slot_count, n, slot, rep, inv))
     return out
@@ -142,12 +145,7 @@ def check_gap_bounds(policy: str, slot_count: int, max_deposits: int) -> GapRepo
     sites.validate_slot_count(policy, slot_count)
     report = GapReport(policy, slot_count, max_deposits)
     cap = (slot_count - 2) >> 1
-    retained: dict[int, int] = {}
-    for n in range(1, max_deposits + 1):
-        rank = n - 1
-        slot = sites.site(policy, rank, slot_count)
-        if slot is not None:
-            retained[slot] = rank
+    for n, retained in replay(policy, slot_count, range(1, max_deposits + 1)):
         ranks = sorted(retained.values())
         clamped = policy == "tilted" and n.bit_length() - 1 >= cap
         if not ranks or ranks[0] != 0:

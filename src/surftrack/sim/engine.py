@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..surface.genome import GenomeFields, GenomeLayout
-from ..surface.sites import site_array
+from ..surface.sites import site
 from . import streams
 from .config import GridConfig
 from .tracker import NO_PARENT, LineageTracker
@@ -365,18 +365,23 @@ class DeterministicGrid:
             fit[hit] += (streams.normal_magnitudes(u1, u2) * sigma).astype(np.float32)
 
     def _rank_tables(self, top: int) -> None:
-        """Make the per-rank deposit lookups cover ranks 0..top."""
+        """Make the per-rank deposit lookups cover ranks 0..top, at least
+        doubling their length whenever they grow."""
         have = len(self._rank_slot)
         if top < have:
             return
         cfg = self.config
-        size = max(cfg.generations + 1, 2 * have, top + 1)
-        slots, stored = site_array(cfg.policy, np.arange(size, dtype=np.int64), cfg.slot_count)
-        self._rank_slot, self._rank_stored = slots, stored
+        ranks = range(have, max(2 * have, top + 1))
+        placed = [site(cfg.policy, r, cfg.slot_count) for r in ranks]
+        stored = np.array([s is not None for s in placed], dtype=bool)
+        slots = np.array([s or 0 for s in placed], dtype=np.int64)
+        self._rank_slot = np.concatenate([self._rank_slot, slots])
+        self._rank_stored = np.concatenate([self._rank_stored, stored])
         if self.pop["surf"].ndim == 2:
             # A zero mask leaves a discarded rank's 1-bit surface as it is.
-            bit = np.uint64(1) << np.where(stored, slots, 0).astype(np.uint64)
-            self._rank_mask = np.where(stored, bit, np.uint64(0))
+            bit = np.uint64(1) << slots.astype(np.uint64)
+            mask = np.where(stored, bit, np.uint64(0))
+            self._rank_mask = np.concatenate([self._rank_mask, mask])
 
     def _deposit(self, pop: dict[str, np.ndarray], ids: np.ndarray) -> None:
         cfg = self.config

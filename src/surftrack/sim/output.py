@@ -161,5 +161,12 @@ def write_manifest(
 
 
 def read_manifest(path: str) -> dict:
+    """The JSON object in a manifest or config file; errors name the file."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return payload

@@ -128,14 +128,7 @@ class StreamBank:
         cursors.  Values match scalar :func:`raw_draw` at the same
         positions exactly.
         """
-        keys = self.keys[streams]
-        pos = self.positions[streams]
-        # key + (pos + i) * GOLDEN, split so the (n, count) grid is one add.
-        steps = np.arange(count, dtype=np.uint64)
-        steps *= _U64_GOLDEN
-        states = (keys + pos * _U64_GOLDEN)[:, None] + steps[None, :]
-        self.positions[streams] = pos + np.uint64(count)
-        return _mix64_array(states)
+        return self.at(streams, self.skip(streams, count), np.arange(count, dtype=np.uint64))
 
     def skip(self, streams: np.ndarray | slice, count: int | np.ndarray) -> np.ndarray:
         """Advance the selected cursors past ``count`` draws without

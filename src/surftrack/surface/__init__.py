@@ -18,7 +18,6 @@ from .sites import (
     hybrid_site,
     resident_rank,
     site,
-    site_array,
     steady_site,
     tilted_site,
     validate_slot_count,
@@ -40,7 +39,6 @@ __all__ = [
     "resident_rank",
     "residency",
     "site",
-    "site_array",
     "steady_site",
     "surface_records",
     "tilted_site",

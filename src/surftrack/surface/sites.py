@@ -21,14 +21,12 @@ Three policies are provided:
 * ``hybrid``  -- even ranks go to a steady sub-surface in the low half,
   odd ranks to a tilted sub-surface in the high half.
 
-Scalar functions use plain ints.  The ``*_array`` variants operate on
-int64 numpy arrays and are what the simulation engine calls; they must
-agree with the scalar forms element for element (tested exhaustively).
+All functions take and return plain ints.  The simulation engine
+tabulates :func:`site` per rank once and reads the table, so this is
+the only placement implementation.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 POLICIES = ("steady", "tilted", "hybrid")
 
@@ -201,78 +199,4 @@ def resident_rank(policy: str, slot: int, counter: int, slot_count: int) -> int 
         return tilted_resident(slot, counter, slot_count)
     if policy == "hybrid":
         return hybrid_resident(slot, counter, slot_count)
-    raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-
-
-# --- vectorized variants -------------------------------------------------
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Element-wise bit length of a non-negative int64 array."""
-    out = np.zeros(x.shape, dtype=np.int64)
-    v = x.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = v >= (1 << shift)
-        out[big] += shift
-        v[big] >>= shift
-    return out + (v > 0)
-
-
-def _ctz_array(x: np.ndarray) -> np.ndarray:
-    """Element-wise count of trailing zeros; garbage for zero entries."""
-    return _bit_length(x & -x) - 1
-
-
-def steady_site_array(ranks: np.ndarray, slot_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of :func:`steady_site`.
-
-    Returns ``(slots, stored)``; slot values are meaningless where
-    ``stored`` is False.
-    """
-    t = np.asarray(ranks, dtype=np.int64).copy()
-    odd = t >> _ctz_array(np.maximum(t, 1))
-    stored = (t == 0) | (odd < slot_count)
-    s = slot_count.bit_length() - 1
-    active = stored & (t >= slot_count)
-    while active.any():
-        # Active lanes always have e >= 1; clamp the rest so the shifts
-        # stay legal, then keep only active results.
-        e = np.maximum(_bit_length(t) - s, 1)
-        i = (t - (np.int64(1) << (s + e - 1))) >> e
-        t = np.where(active, (2 * i + 1) << (e - 1), t)
-        active = stored & (t >= slot_count)
-    return t, stored
-
-
-def tilted_site_array(ranks: np.ndarray, slot_count: int) -> np.ndarray:
-    """Vector form of :func:`tilted_site`."""
-    t = np.asarray(ranks, dtype=np.int64)
-    r1 = t + 1
-    h = _bit_length(r1 & -r1) - 1
-    cap = (slot_count - 2) >> 1
-    i = (t - ((np.int64(1) << np.minimum(h, 62)) - 1)) >> (h + 1)
-    banded = 2 + 2 * h + (i & 1)
-    return np.where(t == 0, 0, np.where(h >= cap, 1, banded))
-
-
-def hybrid_site_array(ranks: np.ndarray, slot_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of :func:`hybrid_site`; returns ``(slots, stored)``."""
-    t = np.asarray(ranks, dtype=np.int64)
-    half = slot_count >> 1
-    even_slots, even_stored = steady_site_array(t >> 1, half)
-    odd_slots = tilted_site_array(t >> 1, half) + half
-    odd = (t & 1).astype(bool)
-    slots = np.where(odd, odd_slots, even_slots)
-    stored = np.where(odd, True, even_stored)
-    return slots, stored
-
-
-def site_array(policy: str, ranks: np.ndarray, slot_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to a policy's vector site function; ``(slots, stored)``."""
-    if policy == "steady":
-        return steady_site_array(ranks, slot_count)
-    if policy == "tilted":
-        ranks = np.asarray(ranks, dtype=np.int64)
-        return tilted_site_array(ranks, slot_count), np.ones(ranks.shape, dtype=bool)
-    if policy == "hybrid":
-        return hybrid_site_array(ranks, slot_count)
     raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")

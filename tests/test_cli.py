@@ -37,6 +37,7 @@ def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+    assert pytest.raises(SystemExit, main, ["bench"]).value.code == 2  # retired
 
 
 def test_version_flag():
@@ -198,6 +199,14 @@ def test_config_file_flag_overrides_win(tmp_path):
     ).read_text()
 
 
+def test_malformed_config_file_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    bad.write_text('{"width": 2,')
+    rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"error: {bad}: Expecting property name" in capsys.readouterr().err
+
+
 # -- reconstruct -------------------------------------------------------------
 
 
@@ -276,6 +285,26 @@ def test_reconstruct_names_the_file_row_and_field_of_a_bad_genome(tmp_path, caps
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error: {genomes}: row 3, field 'pe_y': " in err
+
+
+def test_reconstruct_names_a_malformed_manifest(tmp_path, capsys):
+    simulate_into(tmp_path)
+    bad = tmp_path / "broken.json"
+    bad.write_text("not json")
+    capsys.readouterr()
+    rc = main(
+        [
+            "reconstruct",
+            "--genomes",
+            str(tmp_path / "genomes.csv"),
+            "--manifest",
+            str(bad),
+            "--out",
+            str(tmp_path / "t.newick"),
+        ]
+    )
+    assert rc == 1
+    assert f"error: {bad}: Expecting value" in capsys.readouterr().err
 
 
 def test_reconstruct_needs_a_manifest_or_flags(tmp_path, capsys):
@@ -370,6 +399,14 @@ def test_pairwise_metrics_refuse_forests(tmp_path, capsys):
     assert "stitch the forest" in capsys.readouterr().err
 
 
+def test_metrics_names_the_file_of_a_bad_tree(tmp_path, capsys):
+    bad = tmp_path / "bad.newick"
+    bad.write_text("(A:x,B:1);\n")
+    rc = main(["metrics", "--tree", str(bad)])
+    assert rc == 1
+    assert f"error: {bad}: line 1: bad branch length" in capsys.readouterr().err
+
+
 def test_compare_reports_effect_size(tmp_path, capsys):
     for name, value in (("a1", 20), ("a2", 30), ("b1", 5), ("b2", 6)):
         (tmp_path / f"{name}.csv").write_text(f"tree,metric,value\nt,sbl,{value}\n")
@@ -408,7 +445,27 @@ def test_compare_with_no_matches_fails(tmp_path, capsys):
     assert "no 'sbl' values found" in capsys.readouterr().err
 
 
-# -- oracle and bench ------------------------------------------------------------
+def test_compare_names_the_file_row_and_field_of_a_bad_value(tmp_path, capsys):
+    (tmp_path / "a.csv").write_text("tree,metric,value\nt,sbl,1\n")
+    (tmp_path / "b.csv").write_text("tree,metric,value\nt,mpd,2\nt,sbl,abc\n")
+    rc = main(
+        [
+            "compare",
+            "--a",
+            str(tmp_path / "a.csv"),
+            "--b",
+            str(tmp_path / "b.csv"),
+            "--metric",
+            "sbl",
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / 'b.csv'}: row 3, field 'value': " in err
+    assert "'abc'" in err
+
+
+# -- oracle ----------------------------------------------------------------------
 
 
 def test_oracle_passes_on_a_clean_policy(capsys):
@@ -424,14 +481,3 @@ def test_oracle_gates_clamp_regime_behind_a_flag(capsys):
     assert main(args) == 1
     assert "--allow-clamp" in capsys.readouterr().out
     assert main([*args, "--allow-clamp"]) == 0
-
-
-def test_bench_prints_throughput_lines(capsys):
-    rc = main(
-        ["bench", "--deposits", "500", "--grid", "2x2", "--generations", "5"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.count("deposits/sec") == 3
-    assert out.count("generations/sec") == 2
-    assert "untracked" in out and "tracked" in out

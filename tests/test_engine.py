@@ -127,6 +127,33 @@ def test_running_past_the_configured_generations_continues_the_run(overrides):
         assert np.array_equal(split.pop[name], whole.pop[name]), name
 
 
+@pytest.mark.parametrize("bits", [1, 8], ids=["word", "byte"])
+@pytest.mark.parametrize("policy", ["steady", "tilted", "hybrid"])
+def test_engine_deposits_where_the_reference_places(policy, bits):
+    """A lone genome's end-state surface equals a SurfaceAnnotation fed the
+    differentiae it drew.  Runs in several calls past the configured length,
+    so the engine's per-rank deposit table grows several times."""
+    config = GridConfig(
+        width=1, height=1, generations=5, population=1, policy=policy,
+        slot_count=16, differentia_bits=bits,
+    )
+    eng = DeterministicGrid(config)
+    for todo in (None, 7, 40, None):
+        eng.run(todo)
+    gens = int(eng.generation[0])
+    assert gens == 57
+    # PE 0's stream: the founder's tag, then per generation the 2*K*n
+    # tournament draws and the one deposit draw (no migration on a lone PE).
+    key = streams.stream_key(config.seed, 0)
+    per_gen = 2 * config.tournament_size + 1
+    ref = SurfaceAnnotation(policy, config.slot_count, bits)
+    for g in range(gens):
+        ref.deposit(streams.raw_draw(key, 1 + g * per_gen + per_gen - 1) & ((1 << bits) - 1))
+    (sample,) = eng.sample_end_state(1)
+    assert sample.fields.counter == ref.counter == gens
+    assert list(sample.fields.surface) == ref.slots
+
+
 def test_tournament_follows_the_reference_selection_rule():
     """Best fitness wins; equal fitness goes to the highest tie uniform."""
     P, K, n = 4, 12, 5

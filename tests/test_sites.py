@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from surftrack.surface import sites
@@ -152,22 +151,3 @@ def test_tilted_overflow_slot_closed_form():
     for n in range(1 << cap, 512):
         expected = ((n >> cap) << cap) - 1
         assert sites.tilted_resident(1, n, S) == expected
-
-
-@settings(max_examples=40)
-@given(st.integers(0, 2**31), st.sampled_from([8, 16, 64]))
-def test_vectorized_site_matches_scalar(start, slot_count):
-    ranks = np.arange(start, start + 257, dtype=np.int64)
-    for policy in sites.POLICIES:
-        slots, stored = sites.site_array(policy, ranks, slot_count)
-        for i, t in enumerate(ranks):
-            want = sites.site(policy, int(t), slot_count)
-            if want is None:
-                assert not stored[i]
-            else:
-                assert stored[i] and slots[i] == want
-
-
-def test_vectorized_empty_input():
-    slots, stored = sites.site_array("steady", np.empty(0, dtype=np.int64), 8)
-    assert slots.shape == (0,) and stored.shape == (0,)
