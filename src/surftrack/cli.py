@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: simulate, reconstruct, metrics, compare, oracle.
-Exit codes: 0 success, 1 failure (bad data, violated checks), 2 usage.
+Exit codes: 0 success, 1 failure (bad data, violated checks), 2 usage,
+141 standard output closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -440,7 +441,16 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # Nobody reads the rest; send the unflushed output where the
+        # interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (
         ConfigError,
         GenomesCsvError,

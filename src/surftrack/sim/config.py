@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 
 from ..surface.genome import GenomeLayout
-from ..surface.sites import POLICIES, validate_slot_count
+from ..surface.sites import validate_slot_count
 
 
 class ConfigError(ValueError):
@@ -88,25 +88,18 @@ class GridConfig:
             raise ConfigError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
         if self.sample_per_pe < 1:
             raise ConfigError("sample_per_pe must be positive")
-        if self.layout not in ("tagged", "fitness"):
-            raise ConfigError(f"unknown layout {self.layout!r}")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"unknown policy {self.policy!r}")
         try:
             validate_slot_count(self.policy, self.slot_count)
+            layout = self.genome_layout()
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if not 1 <= self.differentia_bits <= 8:
-            raise ConfigError(
-                f"differentia_bits must be 1..8, got {self.differentia_bits}"
-            )
         self.treatment.validate()
         if self.layout == "tagged" and self.treatment.mode != "neutral":
             raise ConfigError(
                 "tagged layout carries no fitness field; "
                 f"treatment {self.treatment.mode!r} needs layout='fitness'"
             )
-        capacity = self.genome_layout().counter_capacity
+        capacity = layout.counter_capacity
         if self.generations >= capacity:
             raise ConfigError(
                 f"{self.generations} generations would overflow the "

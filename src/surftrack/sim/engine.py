@@ -184,8 +184,7 @@ class DeterministicGrid:
             name: np.zeros((4, P, R) + arr.shape[2:], dtype=arr.dtype)
             for name, arr in self.pop.items()
         }
-        self.emig_full = np.zeros((4, P), dtype=bool)
-        self.send_done = self.valid.copy()  # arm the first refill
+        self.emig_full = np.zeros((4, P), dtype=bool)  # set on valid links only
         self.stage_n = np.zeros((4, P), dtype=np.int64)
         self.imported = np.zeros(P, dtype=np.int64)
         self.exported = np.zeros(P, dtype=np.int64)  # delivered, by source PE
@@ -196,7 +195,7 @@ class DeterministicGrid:
     def _transport_tick(self) -> None:
         """Move departed emigrants one hop; apply in-transit loss."""
         P, R = self.config.n_pes, GridConfig.RECEIVE_CAPACITY
-        links = np.flatnonzero(self.emig_full & self.valid)
+        links = np.flatnonzero(self.emig_full)
         if not links.size:
             return
         dest = self._link_stage.take(links)
@@ -221,7 +220,6 @@ class DeterministicGrid:
         self.exported += np.bincount(self._link_pe.take(klinks), minlength=P)
         # Departed either way: delivered or lost in transit.
         self.emig_full.reshape(-1)[links] = False
-        self.send_done.reshape(-1)[links] = True
 
     def _schedule(self) -> np.ndarray:
         """Mask of the PEs that step this asynchronous cycle."""
@@ -282,7 +280,7 @@ class DeterministicGrid:
 
     def _refill_emigrants(self, active: np.ndarray) -> None:
         K = self.config.population
-        due = self.send_done & self.valid & active
+        due = self.valid & ~self.emig_full & active
         if not due.any():
             return
         links, pes, draws = self._link_draws(due, 1)
@@ -292,7 +290,6 @@ class DeterministicGrid:
             rest = arr.shape[2:]
             arr.reshape((-1,) + rest)[links] = self.pop[name].reshape((-1,) + rest)[src]
         self.emig_full.reshape(-1)[links] = True
-        self.send_done.reshape(-1)[links] = False
 
     # The three kernel stages below update ``pop``, a dict of (m, K, ...)
     # population arrays, in place; row i belongs to PE ``ids[i]`` and draws

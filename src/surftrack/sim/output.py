@@ -90,24 +90,13 @@ def read_genomes_csv(
         return layout.check_length(bytes.fromhex(cell))
 
     fields = (("pe_x", int), ("pe_y", int), ("counter", int), ("genome_hex", genome))
-    at = [cols[name] for name, _ in fields]
-    size = layout.total_bytes
     rownums: list[int] = []
     parsed: list[tuple[int, int, int, bytes]] = []
     for rownum, row in enumerate(reader, start=2):
         if not "".join(row).strip():
             continue
-        try:
-            cells = [row[i].strip() for i in at]
-            x, y, counter = int(cells[0]), int(cells[1]), int(cells[2])
-            blob = bytes.fromhex(cells[3])
-        except (IndexError, ValueError):
-            blob = b""
-        if len(blob) != size:
-            # Parse the row again one field at a time, to name the bad field.
-            x, y, counter, blob = (_cell(row, cols, rownum, *field) for field in fields)
         rownums.append(rownum)
-        parsed.append((x, y, counter, blob))
+        parsed.append(tuple(_cell(row, cols, rownum, *field) for field in fields))
     xs, ys, counters, blobs = zip(*parsed) if parsed else ((), (), (), ())
     genomes = unpack_genomes(layout, b"".join(blobs))
     for rownum, counter, packed in zip(rownums, counters, genomes.counter.tolist()):

@@ -13,14 +13,17 @@ integer, i.e. slot 0 sits in the lowest bits of the first byte.  Other
 slot counts and differentia widths pack the same way, so the codec also
 serves non-standard surfaces.
 
-The codec is columnar: :func:`pack_genomes` and :func:`unpack_genomes`
-handle many genomes in one numpy pass, and the scalar
-:func:`pack_genome` and :func:`unpack_genome` are one-genome calls of
-the same code.
+:func:`pack_genomes` checks one genome at a time, each in the same fixed
+order, so the first bad genome is reported with its first failure.
+Once every genome is known to be in range, packing runs once for all
+of them in one numpy pass, and :func:`unpack_genomes` decodes all of
+them in one pass too.  The scalar :func:`pack_genome` and
+:func:`unpack_genome` are one-genome calls of the same code.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -115,100 +118,46 @@ class GenomeColumns:
         ]
 
 
-def _ints(values) -> np.ndarray:
-    """``values`` as int64, or as Python ints where int64 cannot hold them."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _check(layout: GenomeLayout, fields, counter, surface, head) -> None:
-    """Raise for the first genome that fails a check, naming its first failure.
-
-    Each genome is checked in one fixed order: counter range, surface
-    length, slot values, then the header field's presence and range.
-    """
-    n, S, w = len(fields), layout.slot_count, layout.differentia_bits
-    value_bad = np.asarray((surface < 0) | (surface >= 1 << w), dtype=bool)
-
-    def value_error(i: int) -> ValueError:
-        k = int(np.argmax(value_bad[i]))
-        return ValueError(f"slot {k} value {fields[i].surface[k]} out of range for {w} bit(s)")
-
-    checks = [
-        (
-            (counter < 0) | (counter >= layout.counter_capacity),
-            lambda i: ValueError(
-                f"counter {fields[i].counter} does not fit in {layout.counter_bytes} bytes"
-            ),
-        ),
-        (
-            np.full(n, surface.shape[1] != S),
-            lambda i: ValueError(f"expected {S} surface values, got {len(fields[i].surface)}"),
-        ),
-        (value_bad.any(axis=1), value_error),
-    ]
+def _validate(layout: GenomeLayout, f: GenomeFields) -> None:
+    """Raise for the first check ``f`` fails, in order: counter range,
+    surface length, slot values, then the header field's presence and range."""
+    S, w = layout.slot_count, layout.differentia_bits
+    if not 0 <= f.counter < layout.counter_capacity:
+        raise ValueError(f"counter {f.counter} does not fit in {layout.counter_bytes} bytes")
+    if len(f.surface) != S:
+        raise ValueError(f"expected {S} surface values, got {len(f.surface)}")
+    if not 0 <= min(f.surface) <= max(f.surface) < 1 << w:
+        k, v = next((k, v) for k, v in enumerate(f.surface) if not 0 <= v < 1 << w)
+        raise ValueError(f"slot {k} value {v} out of range for {w} bit(s)")
     if layout.kind == "tagged":
-        missing = np.array([f.founder_tag is None for f in fields], dtype=bool)
-        checks += [
-            (missing, lambda i: ValueError("tagged layout requires founder_tag")),
-            (
-                ~missing & ((head < 0) | (head >= 1 << 16)),
-                lambda i: ValueError(
-                    f"founder_tag {fields[i].founder_tag} does not fit in 16 bits"
-                ),
-            ),
-        ]
+        if f.founder_tag is None:
+            raise ValueError("tagged layout requires founder_tag")
+        if not 0 <= f.founder_tag < 1 << 16:
+            raise ValueError(f"founder_tag {f.founder_tag} does not fit in 16 bits")
+    elif f.fitness is None:
+        raise ValueError("fitness layout requires fitness")
     else:
-        missing = np.array([f.fitness is None for f in fields], dtype=bool)
-        # A finite value that float32 cannot hold; struct.pack("<f") refuses it too.
-        with np.errstate(over="ignore"):
-            overflow = np.isfinite(head) & np.isinf(head.astype(np.float32))
-        checks += [
-            (missing, lambda i: ValueError("fitness layout requires fitness")),
-            (overflow, lambda i: OverflowError("float too large to pack with f format")),
-        ]
-    masks = [np.asarray(bad, dtype=bool) for bad, _ in checks]
-    first = min((int(np.argmax(bad)) for bad in masks if bad.any()), default=None)
-    if first is not None:
-        raise next(error(first) for bad, (_, error) in zip(masks, checks) if bad[first])
-
-
-def _pack_rows(layout: GenomeLayout, fields: Sequence[GenomeFields]) -> np.ndarray:
-    n, S, w = len(fields), layout.slot_count, layout.differentia_bits
-    out = np.zeros(n, dtype=layout.dtype)
-    if not n:
-        return out.view(np.uint8).reshape(0, layout.total_bytes)
-    counter = _ints([f.counter for f in fields])
-    surface = _ints([f.surface for f in fields]).reshape(n, -1)
-    if layout.kind == "tagged":
-        head = _ints([0 if f.founder_tag is None else f.founder_tag for f in fields])
-    else:
-        head = np.array([0.0 if f.fitness is None else f.fitness for f in fields])
-    _check(layout, fields, counter, surface, head)
-    out["head"] = head
-    out["counter"] = counter
-    # Slot k's value occupies bits [k*w, (k+1)*w) of the little-endian surface.
-    bits = (surface[:, :, None] >> np.arange(w)) & 1
-    out["surface"] = np.packbits(
-        bits.reshape(n, S * w).astype(np.uint8), axis=1, bitorder="little"
-    )
-    return out.view(np.uint8).reshape(n, layout.total_bytes)
+        struct.pack("<f", f.fitness)  # OverflowError if float32 cannot hold it
 
 
 def pack_genomes(layout: GenomeLayout, fields: Sequence[GenomeFields]) -> np.ndarray:
     """Encode many genomes per ``layout``: an (n, total_bytes) uint8 array.
 
     Strict about ranges and presence: raises for the first genome that
-    packing one at a time would reject, with that genome's message.
+    fails a check, with that genome's message.
     """
-    S = layout.slot_count
-    short = next((i for i, f in enumerate(fields) if len(f.surface) != S), len(fields))
-    packed = _pack_rows(layout, fields[:short])
-    if short < len(fields):
-        _pack_rows(layout, fields[short : short + 1])  # raises for this genome
-    return packed
+    for f in fields:
+        _validate(layout, f)
+    n, S, w = len(fields), layout.slot_count, layout.differentia_bits
+    out = np.zeros(n, dtype=layout.dtype)
+    tagged = layout.kind == "tagged"
+    out["head"] = [f.founder_tag if tagged else f.fitness for f in fields]
+    out["counter"] = [f.counter for f in fields]
+    surface = np.array([f.surface for f in fields], dtype=np.uint8).reshape(n, S)
+    # Slot k's value occupies bits [k*w, (k+1)*w) of the little-endian surface.
+    bits = (surface[:, :, None] >> np.arange(w, dtype=np.uint8)) & 1
+    out["surface"] = np.packbits(bits.reshape(n, S * w), axis=1, bitorder="little")
+    return out.view(np.uint8).reshape(n, layout.total_bytes)
 
 
 def unpack_genomes(layout: GenomeLayout, data) -> GenomeColumns:

@@ -2,9 +2,12 @@
 
 import os
 import statistics
+import subprocess
+import sys
 
 import pytest
 
+import surftrack
 from surftrack.cli import main
 from surftrack.phylo.serialize import import_alife_csv, parse_newick
 from surftrack.sim.output import read_genomes_csv, read_manifest
@@ -70,6 +73,27 @@ def test_simulate_without_geometry_fails_cleanly(tmp_path, capsys):
     rc = main(["simulate", "--generations", "5", "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_simulate_into_a_closed_pipe_exits_quietly(tmp_path, unbuffered):
+    src = os.path.dirname(os.path.dirname(surftrack.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+    args = ["simulate", "--grid", "2x2", "--generations", "20", "--out", str(tmp_path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "surftrack.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the first line is printed
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert (tmp_path / "genomes.csv").exists()
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_tracked_simulate_adds_the_exact_tree(tmp_path):

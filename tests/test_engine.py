@@ -304,7 +304,6 @@ def reference_transport(g):
             g.stage_n[dd, kdst] += 1
             g.exported[ksrc] += 1
         g.emig_full[d, src] = False
-        g.send_done[d, src] = True
 
 
 def reference_inject(g, active):
@@ -324,14 +323,13 @@ def reference_inject(g, active):
 def reference_refill(g, active):
     K = g.config.population
     for d in range(4):
-        sel = np.nonzero(g.send_done[d] & g.valid[d] & active)[0]
+        sel = np.nonzero(~g.emig_full[d] & g.valid[d] & active)[0]
         if not sel.size:
             continue
         idx = streams.to_index(g.bank.draw(sel, 1)[:, 0], K)
         for name, arr in g.emig.items():
             arr[d, sel] = g.pop[name][sel, idx]
         g.emig_full[d, sel] = True
-        g.send_done[d, sel] = False
 
 
 def scramble(g, rng):
@@ -345,7 +343,6 @@ def scramble(g, rng):
                 top = min(1 << 30, int(np.iinfo(arr.dtype).max))
             arr[...] = (rng.permutation(arr.size) % top).reshape(arr.shape)
     g.emig_full[:] = (rng.random(g.valid.shape) < 0.6) & g.valid
-    g.send_done[:] = ~g.emig_full & g.valid & (rng.random(g.valid.shape) < 0.7)
     g.stage_n[:] = rng.integers(0, R + 1, size=g.stage_n.shape)
     g.bank.positions[:] = rng.integers(0, 1 << 40, size=g.bank.positions.shape, dtype=np.uint64)
 
@@ -356,7 +353,7 @@ def assert_same_migration_state(a, b, where):
             assert np.array_equal(getattr(a, group)[name], getattr(b, group)[name]), (
                 where, group, name
             )
-    for attr in ("stage_n", "emig_full", "send_done", "imported", "exported", "lost"):
+    for attr in ("stage_n", "emig_full", "imported", "exported", "lost"):
         assert np.array_equal(getattr(a, attr), getattr(b, attr)), (where, attr)
     assert np.array_equal(a.bank.positions, b.bank.positions), (where, "cursors")
 

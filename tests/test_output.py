@@ -83,6 +83,12 @@ def test_counter_column_must_agree_with_the_packed_genome():
     tampered = "\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n"
     with pytest.raises(GenomesCsvError, match="row 2: counter column says"):
         read_genomes_csv(tampered, eng.layout, cfg.policy)
+    # A malformed field in a later row is reported before the counter disagreement.
+    later = lines[3].split(",")
+    later[0] = "x"
+    tampered = "\n".join([lines[0], ",".join(cells), lines[2], ",".join(later), *lines[4:]])
+    with pytest.raises(GenomesCsvError, match="^row 4, field 'pe_x': "):
+        read_genomes_csv(tampered + "\n", eng.layout, cfg.policy)
 
 
 @pytest.mark.parametrize(
