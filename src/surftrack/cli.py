@@ -211,6 +211,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if grid.tracker is not None:
         stats["tracker_rows"] = len(grid.tracker)
         stats["tracker_rows_pruned"] = grid.tracker.rows_pruned
+        stats["tracker_peak_rows"] = grid.tracker.peak_rows
     # A sample's live slots depend on its counter alone: one residency
     # table per distinct counter gives every sample's record count.
     counters = np.array([s.fields.counter for s in samples], dtype=np.int64)
@@ -239,7 +240,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if grid.tracker is not None:
         print(
             f"lineage tracker holds {stats['tracker_rows']} rows "
-            f"after pruning {stats['tracker_rows_pruned']}"
+            f"after pruning {stats['tracker_rows_pruned']}, "
+            f"at most {stats['tracker_peak_rows']} at once"
         )
     return 0
 

@@ -42,7 +42,7 @@ def genomes_csv_text(layout: GenomeLayout, samples: list[SampledGenome]) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenomeRow:
     """One parsed genomes.csv row, with reconstruction-ready pieces."""
 

@@ -4,7 +4,7 @@ The tracker assigns every individual a monotonically increasing id and
 stores its parent and birth rank, appended one cohort per generation.
 Periodic pruning drops everything not ancestral to a caller-supplied
 live set, which keeps memory proportional to the surviving genealogy
-instead of total births.
+instead of total births.  The engine prunes every 64 cycles.
 
 Storage: two column buffers, parent and birth rank, reused across
 prunes and grown by half when full.  The rows that survived the last
@@ -14,14 +14,31 @@ since holds the next consecutive id, so its position follows from its
 id by subtraction, and its parent column holds the parent's id; only
 references to survivors need a binary search.
 
-A prune walks the genealogy as row positions, one ancestor level at a
-time: first through the recent rows, then through the survivors.  A
-reused stamp array drops repeats from each level without sorting, so a
-level costs in proportion to its frontier.  The kept rows are then
+Each survivor also carries the label of its chain: a maximal run of
+survivors in which every row but the last has exactly one surviving
+child.  Ids increase down a chain, and its label is the row position of
+its top.  Whatever is kept of a chain is therefore the part at or above
+its deepest kept row.
+
+A prune sweeps the rows recorded since the last one cohort by cohort,
+newest first: every parent sits in an earlier cohort, so one pass over
+each cohort's keep mask marks its kept rows' parents, and what points
+into the survivors becomes their entries.  It then marks the survivors
+chain by chain: one step climbs from the tops of the chains just entered
+to the chains their parents sit on, and one gather-and-compare keeps
+every survivor at or above its chain's deepest entry.  The kept rows are
 gathered to the front of the same buffers, their parents rewritten as
-positions.  Apart from one scan of the keep mask, a prune therefore
-costs in proportion to the rows it keeps and the depth of their
-genealogy, not to the rows it drops.
+positions, and relabelled.  A cut chain keeps its label, a branch left
+with one kept child merges two chains, and a row that gains a second
+child splits its chain; pointer doubling settles the rows these touch.
+Only the rows recorded since get fresh labels, cohort by cohort, oldest
+first.
+So a prune costs in proportion to the rows recorded since the last one,
+plus the rows it keeps, plus the branching depth of the genealogy (the
+most chains on one path to a founder); it no longer grows with the
+genealogy's depth in generations.  ``to_tree`` labels the sample's
+ancestry the same way, counting samples as children, and builds one
+node per chain.
 
 Birth rank is lineage-local time: the deposit counter the newborn
 carried at its first deposit.  For lineages that never sat in a
@@ -32,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
+from ..phylo.tree import PhyloNode, PhyloTree
 
 NO_PARENT = -1
 
@@ -43,22 +60,72 @@ def _resized(buf: np.ndarray, used: int, capacity: int) -> np.ndarray:
     return out
 
 
+def _chain_tops(
+    parent: np.ndarray, through: np.ndarray, carried: np.ndarray, blocks: list[int]
+) -> np.ndarray:
+    """Index of the top of each row's chain.
+
+    ``parent`` indexes the same rows (NO_PARENT for founders).  A row
+    continues its parent's chain when the parent is ``through``, that is
+    has exactly one child.  The leading ``len(carried)`` rows have their
+    parents among themselves and already know the top of an earlier,
+    coarser chain of theirs, an ancestor-or-self: unless some row inside
+    that chain now starts a chain of its own, they share its new top, and
+    the rest resolve by pointer doubling.  The other rows come in
+    ``blocks`` (start indices, ascending, the first at ``len(carried)``)
+    whose parents all sit in earlier blocks or among the leading rows, so
+    one pass per block labels them in order.
+    """
+    n, m = parent.size, carried.size
+    idx = np.arange(n)
+    top = ~np.append(through, False)[parent]  # a founder's NO_PARENT reads False
+    jump = np.where(top, idx, parent)
+    head = jump[:m]
+    # A row that now starts a chain inside a carried one splits it.
+    inner = carried != idx[:m]
+    split = np.zeros(m, dtype=bool)
+    split[carried[inner & top[:m]]] = True
+    inner &= ~split[carried]
+    head[inner] = carried[inner]
+    todo = np.flatnonzero(~top[head])
+    while todo.size:
+        hop = head[head[todo]]
+        head[todo] = hop
+        todo = todo[~top[hop]]
+    # A top points at itself and any other row at its parent, whose top
+    # an earlier block has already found.
+    for a, b in zip(blocks, blocks[1:] + [n]):
+        jump[a:b] = jump[jump[a:b]]
+    return jump
+
+
 class LineageTracker:
     def __init__(self) -> None:
         self._parent = np.empty(0, dtype=np.int64)  # survivors: row; recent rows: id
         self._rank = np.empty(0, dtype=np.int64)
         self._n = 0  # rows held: survivors first, then rows recorded since
         self._kept_ids = np.empty(0, dtype=np.int64)  # sorted ids of the survivors
+        self._chain = np.empty(0, dtype=np.int64)  # survivors: row of their chain's top
         self._first_new = 0  # id of the first row recorded since the last prune
+        self._cohorts: list[int] = []  # first row of each cohort recorded since
         self._next_id = 0
         self._stamp = np.empty(0, dtype=np.int32)
+        self._peak = 0  # most rows held at once, up to the last prune
         self.rows_pruned = 0  # running total over every prune
 
     def __len__(self) -> int:
         return self._n
 
+    @property
+    def peak_rows(self) -> int:
+        """The most rows held at once so far."""
+        return max(self._peak, self._n)
+
     def record_cohort(self, parents: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        """Register a batch of births; returns their new ids."""
+        """Register a batch of births; returns their new ids.
+
+        Every parent is an id returned by an earlier call, or NO_PARENT.
+        """
         m = len(parents)
         end = self._n + m
         if end > len(self._parent):
@@ -67,6 +134,7 @@ class LineageTracker:
             self._rank = _resized(self._rank, self._n, capacity)
         self._parent[self._n : end] = parents
         self._rank[self._n : end] = ranks
+        self._cohorts.append(self._n)
         self._n = end
         ids = np.arange(self._next_id, self._next_id + m, dtype=np.int64)
         self._next_id += m
@@ -93,70 +161,90 @@ class LineageTracker:
             pos[old] = at
         return pos
 
-    def _visit(self, frontier: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Mark the unmarked rows of ``frontier`` kept; returns them once each."""
-        frontier = frontier[~keep[frontier]]
-        # the last write to a repeated position wins, so one copy passes
-        order = np.arange(frontier.size, dtype=np.int32)
-        self._stamp[frontier] = order
-        frontier = frontier[self._stamp[frontier] == order]
-        keep[frontier] = True
-        return frontier
-
-    def _closure(self, live: np.ndarray) -> np.ndarray:
-        """Mask over the held rows: live or ancestral to a live id."""
-        keep = np.zeros(self._n, dtype=bool)
-        if len(self._stamp) < self._n:
-            self._stamp = np.empty(len(self._parent), dtype=np.int32)
+    def _ancestry(self, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows live or ancestral to a live id, sorted, and the index into
+        them of each one's parent (NO_PARENT for founders)."""
+        n_old, first_new = self._kept_ids.size, self._first_new
         live = np.asarray(live, dtype=np.int64)
-        frontier = self._positions(live[live != NO_PARENT])
-        n_old = self._kept_ids.size
-        into_old = [frontier[frontier < n_old]]
-        frontier = frontier[frontier >= n_old]
-        # Rows recorded since the last prune name their parents by id.
-        shift = n_old - self._first_new
-        while frontier.size:
-            parents = self._parent[self._visit(frontier, keep)]
-            recent = parents >= self._first_new
-            older = parents[~recent]
-            into_old.append(self._positions(older[older != NO_PARENT]))
-            frontier = parents[recent] + shift
-        # Survivors of the last prune name their parents by row position.
-        frontier = np.concatenate(into_old)
-        while frontier.size:
-            parents = self._parent[self._visit(frontier, keep)]
-            frontier = parents[parents != NO_PARENT]
-        return keep
-
-    def _parent_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Index into ``rows`` of each row's parent (NO_PARENT for founders).
-
-        ``rows`` is sorted and closed under parents, as a closure's rows
-        are; the stamp array, sized by that closure, maps row to index.
-        """
-        parents = self._parent[rows]
-        recent = parents[np.searchsorted(rows, self._kept_ids.size) :]
-        named = recent != NO_PARENT
-        recent[named] = self._positions(recent[named])
+        at = self._positions(live[live != NO_PARENT])
+        # Rows recorded since the last prune name their parents by id, and
+        # every parent sits in an earlier cohort: sweep the newest first.
+        seen = np.zeros(self._n - n_old, dtype=bool)  # by id - first_new
+        seen[at[at >= n_old] - n_old] = True
+        rows, parents = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        ends = self._cohorts[1:] + [self._n]
+        for start, end in zip(reversed(self._cohorts), reversed(ends)):
+            row = np.flatnonzero(seen[start - n_old : end - n_old])
+            row += start
+            named = self._parent[row]
+            rows.append(row)
+            parents.append(named)
+            if named.size and named.min() < first_new:
+                named = named[named >= first_new]
+            seen[named - first_new] = True
+        rows = np.concatenate(rows[::-1])
+        parents = np.concatenate(parents[::-1])
+        older = parents < first_new  # survivors, named by id, and founders
+        entries = parents[older]
+        real = entries != NO_PARENT
+        entries[real] = self._positions(entries[real])
+        parents += n_old - first_new
+        parents[older] = entries
+        if n_old:
+            entries = np.concatenate([at[at < n_old], entries[real]])
+            kept = np.flatnonzero(self._survivor_closure(entries))
+            rows = np.concatenate([kept, rows])
+            parents = np.concatenate([self._parent[kept], parents])
+        if len(self._stamp) <= self._n:
+            self._stamp = np.empty(len(self._parent) + 1, dtype=np.int32)
+            self._stamp[-1] = NO_PARENT  # never a row's: maps NO_PARENT to itself
         self._stamp[rows] = np.arange(rows.size, dtype=np.int32)
-        has_parent = parents != NO_PARENT
-        parents[has_parent] = self._stamp[parents[has_parent]]
-        return parents
+        return rows, self._stamp[parents].astype(np.int64)
+
+    def _survivor_closure(self, entries: np.ndarray) -> np.ndarray:
+        """Mask over the survivors: ``entries`` (rows) and their ancestors."""
+        n_old = self._kept_ids.size
+        chain = self._chain
+        deep = np.full(n_old, -1, dtype=np.int64)  # deepest entry, by chain top
+        # Each step climbs from the tops of the chains just entered to the
+        # chains their parents sit on.
+        while entries.size:
+            tops = chain[entries]
+            fresh = tops[deep[tops] < 0]
+            np.maximum.at(deep, tops, entries)
+            entries = self._parent[fresh]
+            entries = entries[entries != NO_PARENT]
+        return np.arange(n_old) <= deep[chain]
+
+    def _tops(self, rows: np.ndarray, parents: np.ndarray, through: np.ndarray) -> np.ndarray:
+        """Chain tops over a closure's ``rows``, as indices into them.
+
+        Call right after :meth:`_ancestry`, whose stamp maps each
+        survivor's carried chain label into ``rows``.
+        """
+        old = rows[: np.searchsorted(rows, self._kept_ids.size)]
+        carried = self._stamp[self._chain[old]].astype(np.int64)
+        blocks = np.searchsorted(rows, self._cohorts).tolist()
+        return _chain_tops(parents, through, carried, blocks)
 
     def prune(self, live: np.ndarray) -> int:
         """Drop records not ancestral to ``live``; returns rows removed."""
-        rows = np.flatnonzero(self._closure(live))
+        rows, parents = self._ancestry(live)
         k = rows.size
         n_old = self._kept_ids.size
         ids = rows + (self._first_new - n_old)
         survivors = np.searchsorted(rows, n_old)  # rows are sorted: old ones first
         ids[:survivors] = self._kept_ids[rows[:survivors]]
-        self._parent[:k] = self._parent_rows(rows)
+        kids = np.bincount(parents[parents != NO_PARENT], minlength=k)
+        self._chain = self._tops(rows, parents, kids == 1)
+        self._parent[:k] = parents
         self._rank[:k] = self._rank[rows]
         removed = self._n - k
+        self._peak = max(self._peak, self._n)
         self._n = k
         self._kept_ids = ids
         self._first_new = self._next_id
+        self._cohorts = []
         self.rows_pruned += removed
         return removed
 
@@ -172,28 +260,45 @@ class LineageTracker:
         same individual sampled twice yields two sibling leaves).  Leaf
         origin is the sample's birth rank; internal nodes carry their
         individual's birth rank.
+
+        One node stands for each chain of the sample's ancestry, counting
+        sample leaves as children: the chain's last row where it branches,
+        else the lone sample leaf it ends in.  Children come in the order
+        of their chains' tops, then the row's own sample leaves in sample
+        order, as if every row were a node and unifurcations were spliced
+        out afterwards.
         """
         sample_ids = np.asarray(sample_ids, dtype=np.int64)
         if len(sample_ids) != len(labels):
             raise ValueError("one label per sampled id")
         if tags is not None and len(tags) != len(labels):
             raise ValueError("one tag per sampled id")
-        rows = np.flatnonzero(self._closure(sample_ids))
-        nodes = [PhyloNode(float(r)) for r in self._rank[rows].tolist()]
-        roots = []
-        for node, u in zip(nodes, self._parent_rows(rows).tolist()):
-            if u == NO_PARENT:
-                roots.append(node)
-            else:
-                nodes[u].add(node)
+        rows, parents = self._ancestry(sample_ids)
         at = np.searchsorted(rows, self._positions(sample_ids))
-        for k, (u, label) in enumerate(zip(at.tolist(), labels)):
-            node = nodes[u]
-            node.add(
-                PhyloNode(
-                    node.origin_time,
-                    label=label,
-                    founder_tag=None if tags is None else tags[k],
-                )
-            )
-        return collapse_unifurcations(PhyloTree(roots))
+        kids = np.bincount(parents[parents != NO_PARENT], minlength=rows.size)
+        leaves = np.bincount(at, minlength=rows.size)
+        top = self._tops(rows, parents, (kids == 1) & (leaves == 0))
+        time = self._rank[rows].astype(np.float64)
+        fork = kids + leaves >= 2  # rows that stay nodes
+        ends = np.flatnonzero(fork)
+        node = {t: PhyloNode(r) for t, r in zip(top[ends].tolist(), time[ends].tolist())}
+        forked = []  # sample leaves of forking rows, with their row's chain
+        for k, (t, r, on_fork, label) in enumerate(
+            zip(top[at].tolist(), time[at].tolist(), fork[at].tolist(), labels)
+        ):
+            leaf = PhyloNode(r, label=label, founder_tag=None if tags is None else tags[k])
+            if on_fork:
+                forked.append((t, leaf))
+            else:
+                node[t] = leaf  # the chain ends in this lone leaf
+        roots = []
+        chains = np.array(sorted(node), dtype=np.int64)
+        above = parents[chains]
+        for t, p, up in zip(chains.tolist(), above.tolist(), top[above].tolist()):
+            if p == NO_PARENT:
+                roots.append(node[t])
+            else:
+                node[up].add(node[t])
+        for t, leaf in forked:
+            node[t].add(leaf)
+        return PhyloTree(roots)

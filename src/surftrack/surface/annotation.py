@@ -9,7 +9,7 @@ import numpy as np
 from . import sites
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordSet:
     """Immutable snapshot of one annotation's recoverable history.
 

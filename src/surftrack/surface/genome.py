@@ -89,7 +89,7 @@ TAGGED = GenomeLayout("tagged")
 FITNESS = GenomeLayout("fitness")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenomeFields:
     """Decoded contents of one genome."""
 

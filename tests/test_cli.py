@@ -175,13 +175,16 @@ def test_tracked_simulate_reports_tracker_rows(tmp_path, capsys, extra):
     # 2x2 PEs of 8 lanes, founders plus 20 generations of births
     assert stats["tracker_rows"] + stats["tracker_rows_pruned"] == 4 * 8 * 21
     assert 0 < stats["tracker_rows"] < stats["tracker_rows_pruned"]
+    # the most rows held at once: at least what is left, at most every birth
+    assert stats["tracker_rows"] < stats["tracker_peak_rows"] <= 4 * 8 * 21
     assert (
         f"lineage tracker holds {stats['tracker_rows']} rows "
-        f"after pruning {stats['tracker_rows_pruned']}"
+        f"after pruning {stats['tracker_rows_pruned']}, "
+        f"at most {stats['tracker_peak_rows']} at once"
     ) in capsys.readouterr().out
     assert simulate_into(tmp_path / "untracked", *extra) == 0
     stats = read_manifest(str(tmp_path / "untracked" / "manifest.json"))["stats"]
-    assert not {"tracker_rows", "tracker_rows_pruned"} & set(stats)
+    assert not {"tracker_rows", "tracker_rows_pruned", "tracker_peak_rows"} & set(stats)
     assert "lineage tracker" not in capsys.readouterr().out
 
 

@@ -194,6 +194,38 @@ def test_tagged_tournament_follows_the_reference_selection_rule(ids):
     assert np.array_equal(eng.bank.positions, moved)
 
 
+@pytest.mark.parametrize("mode", ["purifying", "adaptive"])
+@pytest.mark.parametrize("ids", [None, [1, 2, 7]], ids=["lockstep", "subset"])
+def test_mutation_reads_only_hit_lanes_but_moves_cursors_3k_per_pass(mode, ids):
+    """Mutation mixes the gate draws and the hit lanes' u1 and u2, yet
+    every stepping cursor still ends 3*K draws further on per pass, and
+    fitness moves as if the whole block had been drawn."""
+    K = 16
+    treatment = Treatment(mode=mode, deleterious_p=0.4, beneficial_p=0.3)
+    eng = DeterministicGrid(
+        GridConfig(width=3, height=3, generations=1, population=K, layout="fitness",
+                   treatment=treatment, seed=11)
+    )
+    ids = eng._all if ids is None else np.array(ids)
+    fit = np.random.default_rng(1).normal(size=(len(ids), K)).astype(np.float32)
+    want = fit.copy()
+    bank = copy.deepcopy(eng.bank)
+    passes = [(0.4, -1.0)] + ([(0.3, 1.0)] if mode == "adaptive" else [])
+    for p, sigma in passes:
+        u = streams.to_unit(bank.draw(ids, 3 * K))
+        hit = u[:, :K] < p
+        mag = streams.normal_magnitudes(u[:, K : 2 * K], u[:, 2 * K :]) * sigma
+        want[hit] += mag[hit].astype(np.float32)
+    before = eng.bank.positions.copy()
+    pop = {"fit": fit.copy()}
+    eng._mutate(pop, ids)
+    assert np.array_equal(pop["fit"], want)
+    moved = before.copy()
+    moved[ids] += np.uint64(3 * K * len(passes))
+    assert np.array_equal(eng.bank.positions, moved)
+    assert np.array_equal(eng.bank.positions, bank.positions)
+
+
 def test_tournament_keeps_the_first_of_equal_tie_uniforms():
     """Tie draws that differ only below the 53 bits to_unit keeps are equal
     ties, and the earliest such candidate wins."""

@@ -1,5 +1,6 @@
 """Run artifacts: genomes.csv encoding/decoding and the manifest."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -46,6 +47,17 @@ def test_round_trip_recovers_every_field():
             slots=list(sample.fields.surface),
         )
         assert row.records == ann.to_records()
+
+
+def test_end_state_objects_are_frozen_and_carry_no_instance_dict():
+    cfg, eng = simulate(track_perfect=True)
+    samples = eng.sample_end_state(per_pe=1)
+    rows = read_genomes_csv(genomes_csv_text(eng.layout, samples), eng.layout, cfg.policy)
+    for obj in (samples[0], samples[0].fields, rows[0], rows[0].records):
+        assert not hasattr(obj, "__dict__")
+        field = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
 
 
 def test_fitness_layout_round_trip():

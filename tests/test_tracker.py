@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surftrack.phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
 from surftrack.sim.tracker import NO_PARENT, LineageTracker
@@ -156,6 +158,17 @@ def test_input_arrays_are_copied():
     assert tree.roots[0].origin_time == 0.0
 
 
+def test_peak_rows_is_the_most_rows_held_at_once():
+    tr, founder, a, b = family()
+    assert tr.peak_rows == 3
+    tr.prune(np.array([a]))
+    assert (len(tr), tr.peak_rows) == (2, 3)
+    tr.record_cohort(np.full(4, a), np.full(4, 2))
+    assert (len(tr), tr.peak_rows) == (6, 6)
+    tr.prune(np.array([a]))
+    assert (len(tr), tr.peak_rows) == (2, 6)
+
+
 def test_prune_drops_extinct_branches_only():
     tr = LineageTracker()
     founder = tr.record_birth(NO_PARENT, 0)
@@ -270,3 +283,160 @@ def test_ids_not_held_are_rejected(method, case):
         else:
             tr.to_tree(ids, ["C", "X"])
     assert len(tr) == 3  # a failed call leaves the records alone
+
+
+class Mirror:
+    """A tracker and a plain-dict reference, driven in lockstep.
+
+    Every prune is checked for the rows it drops, the rows it holds and
+    the running total; ``check_tree`` compares ``to_tree`` with
+    :func:`brute_tree`, child order included.
+    """
+
+    def __init__(self) -> None:
+        self.tr = LineageTracker()
+        self.parent_of: dict[int, int] = {}
+        self.rank_of: dict[int, int] = {}
+        self.held: set[int] = set()
+        self.pruned = 0
+
+    def cohort(self, parents) -> list[int]:
+        parents = np.asarray(parents, dtype=np.int64).reshape(-1)
+        ranks = np.array([self.rank_of.get(int(p), -1) + 1 for p in parents], dtype=np.int64)
+        ids = self.tr.record_cohort(parents, ranks).tolist()
+        for i, p, r in zip(ids, parents.tolist(), ranks.tolist()):
+            self.parent_of[i], self.rank_of[i] = p, r
+        self.held.update(ids)
+        return ids
+
+    def chain(self, parent: int, length: int) -> list[int]:
+        """``length`` births in a line below ``parent``, one cohort each."""
+        out = []
+        for _ in range(length):
+            parent = self.cohort([parent])[0]
+            out.append(parent)
+        return out
+
+    def prune(self, live) -> None:
+        expected = brute_closure(self.parent_of, live)
+        removed = len(self.held) - len(expected)
+        assert self.tr.prune(np.asarray(live, dtype=np.int64)) == removed
+        self.held = expected
+        self.pruned += removed
+        assert len(self.tr) == len(expected)
+        assert self.tr.rows_pruned == self.pruned
+
+    def check_tree(self, sample) -> None:
+        sample = [int(s) for s in sample]
+        labels = [f"s{k}" for k in range(len(sample))]
+        got = self.tr.to_tree(np.array(sample, dtype=np.int64), labels)
+        got.validate()
+        want = brute_tree(self.parent_of, self.rank_of, sample, labels)
+        assert canon_ordered(got) == canon_ordered(want)
+
+
+def test_unary_chain_thousands_of_levels_deep():
+    m = Mirror()
+    founder = m.cohort([NO_PARENT])[0]
+    line = [founder]
+    side = []
+    for step in range(12):
+        line += m.chain(line[-1], 100)
+        side += m.chain(line[-50], 3)  # a short side branch off the middle
+        m.prune([line[-1], side[-1]] if step % 3 == 0 else [line[-1]])
+    assert len(line) > 1000
+    m.check_tree([line[-1], line[-1]])
+    m.check_tree([line[-1], line[500], line[7]])  # sampling mid-chain splits it
+    m.prune([line[-1]])
+    assert len(m.tr) == len(line)
+    m.check_tree([line[-1]])
+
+
+def test_live_mid_chain_row_that_gains_a_second_child_splits_its_chain():
+    m = Mirror()
+    founder = m.cohort([NO_PARENT])[0]
+    line = [founder] + m.chain(founder, 20)
+    m.prune([line[-1], line[10]])  # a live row inside the chain
+    b = m.cohort([line[10]])[0]
+    c = m.cohort([line[-1]])[0]
+    m.prune([b, c])
+    m.check_tree([b, c])
+    m.check_tree([c, b, line[15]])
+    d = m.cohort([line[15]])[0]  # a second split, below the first
+    m.prune([d, b])
+    m.check_tree([d, b])
+    m.prune([d])
+    m.check_tree([d])
+    assert len(m.tr) == 17
+
+
+def test_branch_whose_other_children_all_die_merges_chains():
+    m = Mirror()
+    founder = m.cohort([NO_PARENT])[0]
+    stem = [founder] + m.chain(founder, 5)
+    left = m.chain(stem[-1], 10)
+    right = m.chain(stem[-1], 10)
+    m.prune([left[-1], right[-1]])
+    z = m.chain(left[-1], 4)
+    m.prune([z[-1]])  # right dies: the stem, left and z are one chain now
+    m.check_tree([z[-1], left[3]])
+    m.prune([left[6]])  # cut inside the merged chain
+    m.check_tree([left[6]])
+    w = m.cohort([stem[2], left[6], left[6]])
+    m.prune(w)
+    m.check_tree(w)
+    m.prune([w[1]])  # the stem's new branch dies: merge again
+    m.check_tree([w[1], w[1]])
+
+
+def test_several_founders_some_of_which_die_out():
+    m = Mirror()
+    founders = m.cohort([NO_PARENT] * 4)
+    tips = [m.chain(f, 6 + 3 * k)[-1] for k, f in enumerate(founders)]
+    kids = m.cohort([tips[0], tips[0], tips[2], tips[3]])
+    m.prune(kids[:3])
+    m.check_tree(kids[:3])
+    late = m.cohort([NO_PARENT, kids[2]])
+    m.prune([kids[0], late[0], late[1]])
+    m.check_tree([late[1], late[0], kids[0]])
+    m.prune([late[0]])
+    assert len(m.tr) == 1
+    m.check_tree([late[0]])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_prune_after_every_cohort(seed):
+    rng = np.random.default_rng(seed)
+    m = Mirror()
+    live = m.cohort([NO_PARENT] * 3)
+    for step in range(60):
+        n = int(rng.integers(1, 7))
+        ids = m.cohort(rng.choice(live, size=n))
+        keep = int(rng.integers(1, len(ids) + 1))
+        live = ids[:keep] + [int(x) for x in rng.choice(live, size=int(rng.integers(0, 2)))]
+        m.prune(live)
+        if step % 10 == 9:
+            m.check_tree(rng.choice(sorted(m.held), size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_chain_heavy_genealogies_agree_with_a_brute_force_reference(seed):
+    """Long lines of descent that branch rarely, rows that stay live for
+    several rounds, and samples taken between prunes."""
+    rng = np.random.default_rng(seed)
+    m = Mirror()
+    live = m.cohort([NO_PARENT] * int(rng.integers(1, 4)))
+    for _ in range(int(rng.integers(1, 8))):
+        for _ in range(int(rng.integers(1, 30))):
+            # mostly one child per live row, sometimes two, sometimes none
+            parents = [p for p in live for _ in range(int(rng.choice(3, p=[0.1, 0.8, 0.1])))]
+            if not parents:
+                parents = [int(rng.choice(live))]
+            lingering = [p for p in live if rng.random() < 0.05]
+            live = m.cohort(parents) + lingering
+        if rng.random() < 0.5:
+            m.check_tree(rng.choice(sorted(m.held), size=int(rng.integers(1, 6))))
+        live = [int(x) for x in rng.choice(live, size=int(rng.integers(1, len(live) + 1)))]
+        m.prune(live)
+        m.check_tree(rng.choice(sorted(m.held), size=int(rng.integers(1, 6))))
