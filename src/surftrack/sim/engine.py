@@ -35,8 +35,7 @@ draws from the same streams in one call and split the result, since a
 stream's cursor positions are contiguous either way.  A stage may also
 mix only the draws it reads, provided its cursors still advance over
 the whole block: the tagged tournament, where every candidate scores 0,
-reads just the tie draws and each winner's candidate draw, and mutation
-reads every gate draw but the two normal draws of hit lanes only.
+reads just the tie draws and each winner's candidate draw.
 
 The migration stages (transport, inject, refill) handle every link of
 the grid at once, as one flat list of 4P links in direction-major
@@ -148,8 +147,6 @@ class DeterministicGrid:
         self._cand_steps = np.arange(K, dtype=np.uint64) * np.uint64(n)
         self._tie_steps = np.arange(K * n, 2 * K * n, dtype=np.uint64)  # tie draws in a block
         self._tie_cols = np.tile(np.arange(n, dtype=np.uint64), K)  # j of each tie draw
-        self._lane_steps = np.arange(K, dtype=np.uint64)  # a mutate block's gates
-        self._u_pair = np.array([0, K], dtype=np.uint64)  # from a lane's u1 to its u2
         # Per-rank deposit lookups, built on first use and grown on demand.
         self._rank_slot = np.empty(0, dtype=np.int64)
         self._rank_stored = np.empty(0, dtype=bool)
@@ -355,14 +352,11 @@ class DeterministicGrid:
         if t.mode == "adaptive":
             passes.append((t.beneficial_p, t.beneficial_sigma))
         for p, sigma in passes:
-            # Each stream's block holds K gate draws, then K u1 and K u2
-            # draws; only the gates and the hit lanes' u1 and u2 are read.
-            start = self.bank.skip(ids, 3 * K)
-            gate = self.bank.at(ids, start, self._lane_steps)
-            hit = np.flatnonzero(streams.to_unit(gate) < p)
-            row, lane = np.divmod(hit, K)
-            u1_at = start[row] + lane.astype(np.uint64) + np.uint64(K)
-            u1, u2 = streams.to_unit(self.bank.at(ids[row], u1_at, self._u_pair)).T
+            draws = self.bank.draw(ids, 3 * K)  # gate, u1, u2 per PE
+            hit = np.flatnonzero(streams.to_unit(draws[:, :K]) < p)
+            at = hit + (hit // K) * (2 * K) + K  # each hit lane's u1 in the flat draws
+            u1 = streams.to_unit(draws.reshape(-1)[at])
+            u2 = streams.to_unit(draws.reshape(-1)[at + K])
             # Lanes whose gate stays shut would change by 0.0, which leaves
             # a float32 fitness that is never -0.0 exactly as it is.
             fit[hit] += (streams.normal_magnitudes(u1, u2) * sigma).astype(np.float32)

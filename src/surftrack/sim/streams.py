@@ -94,15 +94,7 @@ def to_index(values: np.ndarray, bound: int) -> np.ndarray:
 
     Equal to ``(to_unit(values) * bound)`` truncated: scaling by a power
     of two is exact, so folding 2**-53 into the bound rounds the same.
-    A bound of 2**b, b <= 53, scales by 2**(b - 53) alone, which keeps
-    the top b bits, so it takes them with one shift.
     """
-    bound = int(bound)
-    if 0 < bound <= 1 << 53 and bound & (bound - 1) == 0:
-        bits = bound.bit_length() - 1
-        if not bits:  # a shift by 64 is undefined on uint64
-            return np.zeros(np.shape(values), dtype=np.int64)
-        return (values >> np.uint64(64 - bits)).astype(np.int64)
     u = (values >> np.uint64(11)).astype(np.float64)
     u *= bound * _TWO_NEG53
     return u.astype(np.int64)

@@ -196,10 +196,9 @@ def test_tagged_tournament_follows_the_reference_selection_rule(ids):
 
 @pytest.mark.parametrize("mode", ["purifying", "adaptive"])
 @pytest.mark.parametrize("ids", [None, [1, 2, 7]], ids=["lockstep", "subset"])
-def test_mutation_reads_only_hit_lanes_but_moves_cursors_3k_per_pass(mode, ids):
-    """Mutation mixes the gate draws and the hit lanes' u1 and u2, yet
-    every stepping cursor still ends 3*K draws further on per pass, and
-    fitness moves as if the whole block had been drawn."""
+def test_mutation_moves_cursors_3k_per_pass(mode, ids):
+    """Every stepping cursor ends 3*K draws further on per mutation pass,
+    and each lane the gate hits moves by its own block's u1 and u2."""
     K = 16
     treatment = Treatment(mode=mode, deleterious_p=0.4, beneficial_p=0.3)
     eng = DeterministicGrid(

@@ -100,30 +100,6 @@ def test_to_index_truncates_the_scaled_uniform(xs, bound):
     assert np.array_equal(streams.to_index(vals, bound), expected)
 
 
-@given(
-    st.lists(st.integers(0, (1 << 64) - 1), min_size=0, max_size=50),
-    st.integers(0, 20),
-)
-def test_power_of_two_bounds_shift_exactly_as_the_float_formula_rounds(xs, bits):
-    """A bound of 2**b takes the top b bits, bound 1 included, and agrees
-    with the truncated scaled uniform, all-zero and all-one draws too."""
-    bound = 1 << bits
-    vals = np.array(xs + [0, (1 << 64) - 1], dtype=np.uint64)
-    expected = (streams.to_unit(vals) * bound).astype(np.int64)
-    got = streams.to_index(vals, bound)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, expected)
-    assert got[-2] == 0 and got[-1] == bound - 1
-
-
-@pytest.mark.parametrize("bits", [53, 54, 60])
-def test_power_of_two_bounds_past_the_float_mantissa_keep_the_float_formula(bits):
-    ends = np.array([0, (1 << 64) - 1], dtype=np.uint64)
-    vals = np.concatenate([scalar_draws(3, 1, 0, 64), ends])
-    expected = (streams.to_unit(vals) * float(1 << bits)).astype(np.int64)
-    assert np.array_equal(streams.to_index(vals, 1 << bits), expected)
-
-
 def test_normal_magnitudes_nonnegative_and_spread():
     u1 = streams.to_unit(scalar_draws(3, 1, 0, 20000))
     u2 = streams.to_unit(scalar_draws(3, 1, 20000, 20000))
