@@ -20,6 +20,13 @@ founder tag and fitness repr.  Its hashes were recorded with the
 per-genome decoder that preceded the columnar one, so they check that
 the two agree.
 
+RECONSTRUCTED pins what the phylo layer makes of each case's decoded
+rows: ``build_forest``'s Newick and ALife CSV with and without
+``stitch``, its ``max_depth``, the ``repr`` of every metric that
+applies, and for tracked cases the triplet score against the tracker
+tree.  Its hashes were recorded with the trie-based builder that
+preceded the sorted-row one, so they check that the two agree.
+
 To regenerate after a deliberate protocol change, run this module as a
 script with the package on the path; it prints the new tables.
 """
@@ -29,7 +36,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from surftrack.phylo.serialize import export_alife_csv
+from surftrack.phylo.metrics import METRICS
+from surftrack.phylo.reconstruct import build_forest
+from surftrack.phylo.serialize import export_alife_csv, export_newick
+from surftrack.phylo.triplets import sampled_triplet_error
 from surftrack.sim.config import GridConfig, Treatment
 from surftrack.sim.engine import DeterministicGrid
 from surftrack.sim.output import genomes_csv_text, read_genomes_csv
@@ -118,6 +128,19 @@ DECODED = {
 }
 
 
+RECONSTRUCTED = {
+    "adaptive-hybrid": "0162a34b68ccff281c67f805e418afc84b291ce99b4477a7e78a98469ffbdb91",
+    "adaptive-steady-tracked": "bb810eadfddd90b2805c86522eb07c18e5446e10be276cd2d150f160321e00d0",
+    "async-lossy-tracked": "aaf6c01adca286c8af6ca84c94e30619e595c081fa6c433cbb16f2b581d5de22",
+    "fitness-neutral": "e49db231748eaa6d8e1fecb91fe14899fb78ff36b7d782d9f141c292ba451a13",
+    "purifying-8bit": "c651fd31e4604b5900de00d07258bf92da7fcd365364bdbff77e6df9d0a6f9b8",
+    "purifying-steady": "13e6db0277e5c7da6e14e8c11b2cee085446bd448871f903fdabe4b8c1b5fabe",
+    "tagged-lossy-torus-tracked": "629cf1c0f52fde186f0db569546a7ea48f571c2d454f7697da844c4807570f51",
+    "tagged-neutral": "4b83a995517b8b705da3091143fe8d61ae8649e897eb7e83c39f4d3321829184",
+    "tagged-tracked-400": "624bb2b376e3515ffcfbb53615a6df500d7a0cf717ffe5eb6b1f5c05882d66b1",
+}
+
+
 def case_config(name: str) -> GridConfig:
     base = dict(width=3, height=3, generations=150, population=8, seed=5, sample_per_pe=3)
     base.update(CASES[name])
@@ -131,16 +154,19 @@ def case_genomes_csv(config: GridConfig, asynchronous: bool = False):
     return grid, samples, genomes_csv_text(config.genome_layout(), samples)
 
 
+def tracker_tree(grid, samples):
+    return grid.tracker.to_tree(
+        np.array([s.tracker_id for s in samples], dtype=np.int64),
+        [s.label for s in samples],
+        [s.fields.founder_tag for s in samples],
+    )
+
+
 def artifact_hashes(config: GridConfig, asynchronous: bool = False) -> dict[str, str]:
     grid, samples, text = case_genomes_csv(config, asynchronous)
     texts = {"genomes.csv": text}
     if grid.tracker is not None:
-        tree = grid.tracker.to_tree(
-            np.array([s.tracker_id for s in samples], dtype=np.int64),
-            [s.label for s in samples],
-            [s.fields.founder_tag for s in samples],
-        )
-        texts["perfect_tree.csv"] = export_alife_csv(tree)
+        texts["perfect_tree.csv"] = export_alife_csv(tracker_tree(grid, samples))
     return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
 
 
@@ -153,6 +179,23 @@ def decoded_hash(config: GridConfig, asynchronous: bool = False) -> str:
     return hashlib.sha256(rendering.encode()).hexdigest()
 
 
+def reconstructed_hash(config: GridConfig, asynchronous: bool = False) -> str:
+    grid, samples, text = case_genomes_csv(config, asynchronous)
+    rows = read_genomes_csv(text, config.genome_layout(), config.policy)
+    entries = [(r.records, r.label, r.founder_tag) for r in rows]
+    reference = tracker_tree(grid, samples) if grid.tracker is not None else None
+    parts = []
+    for stitch in (False, True):
+        tree = build_forest(entries, stitch=stitch)
+        parts += [export_newick(tree), export_alife_csv(tree), f"{tree.max_depth()}\n"]
+        for metric, fn in METRICS.items():
+            if tree.n_roots == 1 or metric not in ("spd", "mpd"):
+                parts.append(f"{metric} {fn(tree)!r}\n")
+        if reference is not None:
+            parts.append(f"{sampled_triplet_error(reference, tree)!r}\n")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_pinned_hashes(name):
     assert artifact_hashes(case_config(name), name in ASYNCHRONOUS) == GOLDEN[name]
@@ -163,6 +206,11 @@ def test_decoded_rows_match_pinned_hashes(name):
     assert decoded_hash(case_config(name), name in ASYNCHRONOUS) == DECODED[name]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reconstruction_matches_pinned_hashes(name):
+    assert reconstructed_hash(case_config(name), name in ASYNCHRONOUS) == RECONSTRUCTED[name]
+
+
 if __name__ == "__main__":
     import pprint
 
@@ -170,3 +218,6 @@ if __name__ == "__main__":
         {name: artifact_hashes(case_config(name), name in ASYNCHRONOUS) for name in CASES}
     )
     pprint.pprint({name: decoded_hash(case_config(name), name in ASYNCHRONOUS) for name in CASES})
+    pprint.pprint(
+        {name: reconstructed_hash(case_config(name), name in ASYNCHRONOUS) for name in CASES}
+    )
