@@ -28,7 +28,7 @@ from .phylo.serialize import (
     import_alife_csv,
     parse_newick,
 )
-from .sim.config import ConfigError, GridConfig, Treatment
+from .sim.config import ConfigError, GridConfig, Treatment, check_types
 from .sim.engine import DeterministicGrid
 from .sim.output import (
     GenomesCsvError,
@@ -169,7 +169,12 @@ def _merge_config(args: argparse.Namespace) -> GridConfig:
             raise ConfigError(
                 f"missing {required}; pass --grid/--generations or a --config file"
             )
-    return GridConfig.from_dict(base)
+    try:
+        return GridConfig.from_dict(base)
+    except ConfigError as err:
+        if args.config is None:
+            raise
+        raise ConfigError(f"{args.config}: {err}") from None
 
 
 def _spread(values: np.ndarray) -> dict[str, float]:
@@ -260,6 +265,12 @@ def _reconstruction_params(args: argparse.Namespace) -> tuple[GenomeLayout, str]
     bits = args.differentia_bits
     if manifest_path is not None:
         cfg = read_manifest(manifest_path).get("config", {})
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{manifest_path}: 'config' must be a JSON object")
+        try:
+            check_types(GridConfig, cfg)
+        except ConfigError as err:
+            raise ConfigError(f"{manifest_path}: {err}") from None
         layout_kind = layout_kind or cfg.get("layout")
         policy = policy or cfg.get("policy")
         slots = slots if slots is not None else cfg.get("slot_count")
@@ -268,7 +279,9 @@ def _reconstruction_params(args: argparse.Namespace) -> tuple[GenomeLayout, str]
         raise ConfigError(
             "no manifest found; pass --manifest or --policy/--layout explicitly"
         )
-    return GenomeLayout(layout_kind, slots or 64, bits or 1), policy
+    slots = 64 if slots is None else slots
+    bits = 1 if bits is None else bits
+    return GenomeLayout(layout_kind, slots, bits), policy
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import PhyloNode, PhyloTree
+from .tree import PhyloNode, PhyloTree, depths
 
 
 def _postorder(tree: PhyloTree) -> list[PhyloNode]:
@@ -45,30 +45,26 @@ def _pairwise_totals(tree: PhyloTree) -> tuple[float, int]:
         raise ValueError(
             "pairwise distances need a single root; stitch the forest first"
         )
-    order = _postorder(tree)
-    leaves_below: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    root = tree.roots[0]
-    depth[id(root)] = 0
-    for node in tree.nodes():
-        for c in node.children:
-            depth[id(c)] = depth[id(node)] + 1
-
+    order, parents = tree.preorder()
+    depth = depths(parents)
+    leaves_below = [0] * len(order)
+    kid_pairs = [0] * len(order)  # leaf pairs that meet below each node
     total_depth = 0
     n_leaves = 0
-    lca_sum = 0.0
-    for node in order:
-        if node.is_leaf:
-            leaves_below[id(node)] = 1
-            total_depth += depth[id(node)]
+    lca_sum = 0
+    for i in reversed(range(len(order))):
+        if order[i].is_leaf:
+            mine = 1
+            total_depth += depth[i]
             n_leaves += 1
-            continue
-        kids = [leaves_below[id(c)] for c in node.children]
-        mine = sum(kids)
-        leaves_below[id(node)] = mine
-        # Pairs of leaves whose paths meet exactly here.
-        through = mine * (mine - 1) // 2 - sum(k * (k - 1) // 2 for k in kids)
-        lca_sum += depth[id(node)] * through
+        else:
+            mine = leaves_below[i]
+            # Pairs of leaves whose paths meet exactly here.
+            lca_sum += depth[i] * (mine * (mine - 1) // 2 - kid_pairs[i])
+        up = parents[i]
+        if up >= 0:
+            leaves_below[up] += mine
+            kid_pairs[up] += mine * (mine - 1) // 2
     if n_leaves < 2:
         return 0.0, n_leaves
     total = (n_leaves - 1) * total_depth - 2.0 * lca_sum

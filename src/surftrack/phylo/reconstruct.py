@@ -4,11 +4,11 @@ The input is a set of record sets extracted from end-state genomes.
 Retention policies guarantee that any two lineages of similar age hold
 records at mostly the same ranks, but migration lag makes the sets
 ragged at the edges, so reconstruction first intersects the rank sets
-across all inputs.  After filtering, every annotation reads as an
-equal-length string of differentia values over the common ranks, and a
-plain trie over those strings is the phylogeny: lineages share a path
-for as long as their values keep matching, and the rank where paths
-part is a lower bound on their divergence time.
+across all inputs.  Every annotation then reads as an equal-length row
+of differentia values over the common ranks.  Sorted, two adjacent rows
+meet at the last common rank before their first mismatch, a lower bound
+on their divergence time, and one stack pass over those meeting ranks
+creates just the nodes where lineages branch.
 """
 
 from __future__ import annotations
@@ -16,20 +16,10 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..surface.annotation import RecordSet
-from .tree import PhyloNode, PhyloTree, collapse_unifurcations
-
-
-class _TrieNode:
-    __slots__ = ("children", "tips")
-
-    def __init__(self) -> None:
-        self.children: dict[int, _TrieNode] = {}
-        self.tips: list[tuple[str, int, int | None]] = []
-
-
-def _leaf(label: str, counter: int, tag: int | None) -> PhyloNode:
-    return PhyloNode(float(counter), label=label, founder_tag=tag)
+from .tree import PhyloNode, PhyloTree
 
 
 def build_forest(
@@ -48,44 +38,61 @@ def build_forest(
     Child order is canonical (by differentia value, then label), so the
     result does not depend on input order.
     """
-    items: list[tuple[RecordSet, str, int | None]] = []
-    for entry in annotations:
-        records, label = entry[0], entry[1]
-        tag = entry[2] if len(entry) > 2 else None
-        items.append((records, label, tag))
+    items = [
+        (e[0], PhyloNode(float(e[0].counter), e[1], e[2] if len(e) > 2 else None))
+        for e in annotations
+    ]
     if not items:
         raise ValueError("no annotations to reconstruct from")
-    labels = [label for _, label, _ in items]
+    labels = [leaf.label for _, leaf in items]
     if len(set(labels)) != len(labels):
         dupe = next(x for x in labels if labels.count(x) > 1)
         raise ValueError(f"leaf labels must be unique; {dupe!r} repeats")
     if len(items) == 1:
-        records, label, tag = items[0]
-        return PhyloTree([_leaf(label, records.counter, tag)])
+        return PhyloTree([items[0][1]])
 
-    ordered, _ = rank_intersection([records for records, _, _ in items])
+    ordered, _ = rank_intersection([records for records, _ in items])
 
     if not ordered:
         warnings.warn(
             "annotations share no retained ranks; returning unrelated leaves",
             stacklevel=2,
         )
-        roots = [_leaf(label, records.counter, tag) for records, label, tag in items]
-        return _finish(PhyloTree(roots), stitch)
+        return _finish(PhyloTree([leaf for _, leaf in items]), stitch)
 
-    trie = _TrieNode()
-    for records, label, tag in items:
-        values = records.mapping()
-        node = trie
-        for rank in ordered:
-            node = node.children.setdefault(values[rank], _TrieNode())
-        node.tips.append((label, records.counter, tag))
+    # Sort by the values at the shared ranks, then by label: lexsort is
+    # stable, so label order settles rows that match at every rank.
+    items.sort(key=lambda item: item[1].label)
+    mappings = (records.mapping() for records, _ in items)
+    values = np.array([[m[rank] for rank in ordered] for m in mappings])
+    order = np.lexsort(values.T[::-1])
+    values = values[order]
+    differs = values[1:] != values[:-1]
+    first = np.where(differs.any(axis=1), differs.argmax(axis=1), len(ordered))
+    leaves = [items[i][1] for i in order.tolist()]
+    return _finish(PhyloTree(_join(leaves, (first - 1).tolist(), ordered)), stitch)
 
-    roots = []
-    for value in sorted(trie.children):
-        roots.append(_to_phylo(trie.children[value], 0, ordered))
-    tree = collapse_unifurcations(PhyloTree(roots))
-    return _finish(tree, stitch)
+
+def _join(leaves: list[PhyloNode], meets: list[int], ranks: Sequence[int]) -> list[PhyloNode]:
+    """Roots over sorted ``leaves``; leaves i and i+1 meet at column
+    ``meets[i]`` of ``ranks`` (-1: no common ancestor).  ``open_`` holds
+    the branching nodes above the newest leaf, shallowest first."""
+    roots: list[PhyloNode] = []
+    open_: list[tuple[int, PhyloNode]] = []
+    done = leaves[0]
+    for meet, leaf in zip(meets + [-1], leaves[1:] + [None]):
+        while open_ and open_[-1][0] > meet:
+            node = open_.pop()[1]
+            node.add(done)
+            done = node
+        if meet < 0:
+            roots.append(done)
+        else:
+            if not open_ or open_[-1][0] < meet:
+                open_.append((meet, PhyloNode(float(ranks[meet]))))
+            open_[-1][1].add(done)
+        done = leaf
+    return roots
 
 
 def rank_intersection(record_sets: Sequence[RecordSet]) -> tuple[list[int], float]:
@@ -96,19 +103,6 @@ def rank_intersection(record_sets: Sequence[RecordSet]) -> tuple[list[int], floa
         return [], 0.0
     shared = sorted(set.intersection(*rank_sets))
     return shared, sum(len(ranks) for ranks in rank_sets) / len(rank_sets)
-
-
-def _to_phylo(trie: _TrieNode, depth: int, ranks: Sequence[int]) -> PhyloNode:
-    node = PhyloNode(float(ranks[depth]))
-    stack = [(trie, node, depth)]
-    while stack:
-        t, p, d = stack.pop()
-        for tip in sorted(t.tips, key=lambda x: (x[0], x[1])):
-            p.add(_leaf(*tip))
-        for value in sorted(t.children):
-            child = p.add(PhyloNode(float(ranks[d + 1])))
-            stack.append((t.children[value], child, d + 1))
-    return node
 
 
 def _finish(tree: PhyloTree, stitch: bool) -> PhyloTree:

@@ -100,7 +100,6 @@ def _parse_tree(s: str) -> PhyloNode:
         raise NewickParseError("missing trailing ';'")
     s = s[:-1]
     root = PhyloNode(0.0)
-    lengths: dict[int, float] = {}
     cur = root
     stack: list[PhyloNode] = []
     i = 0
@@ -130,7 +129,7 @@ def _parse_tree(s: str) -> PhyloNode:
             while j < n and (s[j].isdigit() or s[j] in ".+-eE"):
                 j += 1
             try:
-                lengths[id(cur)] = float(s[i:j])
+                cur.origin_time = float(s[i:j])  # edge length until the pass below
             except ValueError:
                 raise NewickParseError(f"bad branch length at column {i + 1}") from None
             i = j
@@ -161,13 +160,12 @@ def _parse_tree(s: str) -> PhyloNode:
     if stack:
         raise NewickParseError("unbalanced '(': tree ended inside a clade")
 
-    # Accumulate origin times from the root's own length downward.
-    root.origin_time = lengths.get(id(root), 0.0)
+    # Each node holds its edge length; accumulate from the root down.
     todo = [root]
     while todo:
         node = todo.pop()
         for child in node.children:
-            child.origin_time = node.origin_time + lengths.get(id(child), 0.0)
+            child.origin_time += node.origin_time
             todo.append(child)
     return root
 
@@ -180,15 +178,12 @@ def export_alife_csv(tree: PhyloTree) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ALIFE_COLUMNS)
-    ids: dict[int, int] = {}
-    for node in tree.nodes():
-        ids[id(node)] = len(ids)
-    for node in tree.nodes():
-        parent = "[none]" if node.parent is None else f"[{ids[id(node.parent)]}]"
+    order, parents = tree.preorder()
+    for i, (node, up) in enumerate(zip(order, parents)):
         writer.writerow(
             (
-                ids[id(node)],
-                parent,
+                i,
+                "[none]" if up < 0 else f"[{up}]",
                 format_time(node.origin_time),
                 node.label or "",
                 "" if node.founder_tag is None else node.founder_tag,

@@ -69,17 +69,23 @@ class PhyloTree:
     def n_roots(self) -> int:
         return len(self.roots)
 
+    def preorder(self) -> tuple[list[PhyloNode], list[int]]:
+        """All nodes in :meth:`nodes` order, and each node's parent
+        position in that list (-1 for a root)."""
+        order: list[PhyloNode] = []
+        parents: list[int] = []
+        stack = [(root, -1) for root in reversed(self.roots)]
+        while stack:
+            node, up = stack.pop()
+            here = len(order)
+            order.append(node)
+            parents.append(up)
+            stack.extend((c, here) for c in reversed(node.children))
+        return order, parents
+
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counted in edges."""
-        best = 0
-        for root in self.roots:
-            stack = [(root, 0)]
-            while stack:
-                node, d = stack.pop()
-                if node.is_leaf:
-                    best = max(best, d)
-                stack.extend((c, d + 1) for c in node.children)
-        return best
+        return max(depths(self.preorder()[1]), default=0)
 
     def validate(self) -> None:
         """Check parent links and time monotonicity; raises ValueError."""
@@ -97,19 +103,13 @@ class PhyloTree:
                         f"parent origin {node.origin_time}"
                     )
 
-    def copy(self) -> PhyloTree:
-        out = []
-        for root in self.roots:
-            clone = PhyloNode(root.origin_time, root.label, root.founder_tag)
-            stack = [(root, clone)]
-            while stack:
-                src, dst = stack.pop()
-                for child in src.children:
-                    c = PhyloNode(child.origin_time, child.label, child.founder_tag)
-                    dst.add(c)
-                    stack.append((child, c))
-            out.append(clone)
-        return PhyloTree(out)
+
+def depths(parents: list[int]) -> list[int]:
+    """Edges from the root to each node of a :meth:`PhyloTree.preorder` index."""
+    out: list[int] = []
+    for up in parents:
+        out.append(out[up] + 1 if up >= 0 else 0)
+    return out
 
 
 def collapse_unifurcations(tree: PhyloTree) -> PhyloTree:

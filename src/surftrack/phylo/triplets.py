@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .tree import PhyloNode, PhyloTree
+from .tree import PhyloTree, depths
 
 
 @dataclass(frozen=True)
@@ -34,45 +34,33 @@ class TripletScore:
 
 
 class _Index:
-    """Leaf lookup plus depth bookkeeping; forests join at a virtual root."""
+    """Leaf positions in the tree's preorder index, with each node's
+    parent position and depth there; forests join at a virtual root."""
 
     def __init__(self, tree: PhyloTree) -> None:
-        self.depth: dict[int, int] = {}
-        self.parent: dict[int, PhyloNode | None] = {}
-        self.leaf: dict[str, PhyloNode] = {}
-        for root in tree.roots:
-            self.depth[id(root)] = 0
-            self.parent[id(root)] = None
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    if node.label is None:
-                        raise ValueError("triplet scoring needs labeled leaves")
-                    if node.label in self.leaf:
-                        raise ValueError(f"duplicate leaf label {node.label!r}")
-                    self.leaf[node.label] = node
-                for c in node.children:
-                    self.depth[id(c)] = self.depth[id(node)] + 1
-                    self.parent[id(c)] = node
-                    stack.append(c)
+        order, self.parent = tree.preorder()
+        self.depth = depths(self.parent)
+        self.leaf: dict[str, int] = {}
+        for i, node in enumerate(order):
+            if node.is_leaf:
+                if node.label is None:
+                    raise ValueError("triplet scoring needs labeled leaves")
+                if node.label in self.leaf:
+                    raise ValueError(f"duplicate leaf label {node.label!r}")
+                self.leaf[node.label] = i
 
-    def lca_depth(self, a: PhyloNode, b: PhyloNode) -> int:
+    def lca_depth(self, a: int, b: int) -> int:
         """Depth of the lowest common ancestor; -1 across roots."""
-        da, db = self.depth[id(a)], self.depth[id(b)]
-        while da > db:
-            a = self.parent[id(a)]
-            da -= 1
-        while db > da:
-            b = self.parent[id(b)]
-            db -= 1
-        while a is not b:
-            pa, pb = self.parent[id(a)], self.parent[id(b)]
-            if pa is None or pb is None:
+        depth, parent = self.depth, self.parent
+        while depth[a] > depth[b]:
+            a = parent[a]
+        while depth[b] > depth[a]:
+            b = parent[b]
+        while a != b:
+            a, b = parent[a], parent[b]
+            if a < 0:
                 return -1
-            a, b = pa, pb
-            da -= 1
-        return da
+        return depth[a]
 
     def outgroup(self, x: str, y: str, z: str) -> str | None:
         """Leaf label left out by the deepest pair, or None for a star."""

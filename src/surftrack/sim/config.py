@@ -12,6 +12,24 @@ class ConfigError(ValueError):
     """A run configuration that cannot be executed as requested."""
 
 
+# Accepted Python types per declared field type, which this module's
+# postponed annotations give as a string; bool, an int subclass, fits
+# only a bool field.
+_KINDS = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
+
+
+def check_types(cls: type, data: dict, prefix: str = "") -> None:
+    """Raise ConfigError unless every ``cls`` field present in ``data``
+    holds a value of its declared type; ``prefix`` qualifies the key."""
+    for f in fields(cls):
+        kinds = _KINDS.get(f.type)
+        if kinds is None or f.name not in data:
+            continue
+        value = data[f.name]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
+            raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Treatment:
     """Fitness mutation regime applied after selection each generation.
@@ -121,10 +139,12 @@ class GridConfig:
             unknown = set(treatment) - {f.name for f in fields(Treatment)}
             if unknown:
                 raise ConfigError(f"unknown treatment keys: {sorted(unknown)}")
+            check_types(Treatment, treatment, "treatment.")
             payload["treatment"] = Treatment(**treatment)
         unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_types(cls, payload)
         try:
             return cls(**payload)
         except TypeError as err:

@@ -74,7 +74,10 @@ def _chain_tops(
     the rest resolve by pointer doubling.  The other rows come in
     ``blocks`` (start indices, ascending, the first at ``len(carried)``)
     whose parents all sit in earlier blocks or among the leading rows, so
-    one pass per block labels them in order.
+    one pass per block labels them in order.  Labels are carried rather
+    than recomputed because relabelling every kept row by pointer
+    doubling made a 16x16 purifying tracked run's prunes about 40%
+    slower (360-400 against 260-280 ms on a 2-core host).
     """
     n, m = parent.size, carried.size
     idx = np.arange(n)

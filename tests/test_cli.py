@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
+import json
 import os
 import statistics
 import subprocess
@@ -365,6 +366,61 @@ def test_reconstruct_needs_a_manifest_or_flags(tmp_path, capsys):
         ]
     )
     assert rc == 0
+
+
+def reconstruct_with(tmp_path, *extra) -> int:
+    return main(
+        [
+            "reconstruct",
+            "--genomes",
+            str(tmp_path / "genomes.csv"),
+            "--out",
+            str(tmp_path / "t.newick"),
+            *extra,
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([], "'config' must be a JSON object"),
+        ({"layout": "tagged", "policy": "tilted", "slot_count": "64"},
+         "slot_count must be int, got '64'"),
+        ({"layout": "tagged", "policy": "tilted", "differentia_bits": True},
+         "differentia_bits must be int, got True"),
+        ({"layout": ["tagged"], "policy": "tilted"}, "layout must be str, got ['tagged']"),
+    ],
+)
+def test_reconstruct_rejects_a_malformed_manifest_config(tmp_path, capsys, config, message):
+    simulate_into(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"config": config}))
+    capsys.readouterr()
+    assert reconstruct_with(tmp_path, "--manifest", str(bad)) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--surface-slots", "slot_count must be positive"),
+        ("--differentia-bits", "differentia_bits must be 1..8, got 0"),
+    ],
+)
+def test_reconstruct_zero_overrides_reach_the_layout_check(tmp_path, capsys, flag, message):
+    simulate_into(tmp_path)
+    capsys.readouterr()
+    assert reconstruct_with(tmp_path, flag, "0") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_simulate_names_the_config_file_and_key_of_a_mistyped_value(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"width": 2, "height": 2, "generations": 5, "torus": "no"}))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {config}: torus must be bool, got 'no'\n"
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 def test_stitch_flag_forces_a_single_root(tmp_path):

@@ -83,6 +83,38 @@ def test_from_dict_rejects_unknown_keys():
         GridConfig.from_dict(dict(width=1, height=1, generations=1, speed=11))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("torus", "no", "torus must be bool, got 'no'"),
+        ("track_perfect", 1, "track_perfect must be bool, got 1"),
+        ("width", "3", "width must be int, got '3'"),
+        ("seed", 1.5, "seed must be int, got 1.5"),
+        ("population", True, "population must be int, got True"),
+        ("loss_rate", "0.1", "loss_rate must be float, got '0.1'"),
+        ("loss_rate", False, "loss_rate must be float, got False"),
+        ("policy", 7, "policy must be str, got 7"),
+        ("generations", None, "generations must be int, got None"),
+    ],
+)
+def test_from_dict_rejects_values_of_the_wrong_type(key, value, message):
+    data = dict(width=2, height=2, generations=10)
+    data[key] = value
+    with pytest.raises(ConfigError) as e:
+        GridConfig.from_dict(data)
+    assert str(e.value) == message
+
+
+def test_from_dict_type_checks_treatment_values_and_takes_ints_as_floats():
+    data = dict(width=2, height=2, generations=10, treatment={"deleterious_p": "x"})
+    with pytest.raises(ConfigError, match=r"^treatment.deleterious_p must be float, got 'x'$"):
+        GridConfig.from_dict(data)
+    data["treatment"] = {"mode": "purifying", "deleterious_p": 1}
+    data.update(loss_rate=0, torus=True)
+    cfg = GridConfig.from_dict(data)
+    assert (cfg.treatment.deleterious_p, cfg.loss_rate, cfg.torus) == (1, 0, True)
+
+
 def test_genome_layout_reflects_surface_geometry():
     cfg = ok(slot_count=64, differentia_bits=8, policy="steady", generations=40)
     layout = cfg.genome_layout()

@@ -1,4 +1,4 @@
-"""Trie reconstruction from record sets, and pairwise MRCA brackets."""
+"""Reconstruction from record sets, and pairwise MRCA brackets."""
 
 import warnings
 
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from surftrack.surface.annotation import RecordSet, SurfaceAnnotation
 from surftrack.phylo.reconstruct import build_forest, estimate_mrca_range, rank_intersection
+from surftrack.phylo.serialize import export_alife_csv
+from surftrack.phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
 
 
 def records(pairs, counter):
@@ -143,6 +145,46 @@ def test_duplicate_labels_rejected():
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         build_forest([])
+
+
+def trie_forest(entries):
+    """Reference builder: a dict trie over the rows of values at the shared
+    ranks, children by value then label, with unifurcations spliced out."""
+    ranks, _ = rank_intersection([held for held, _, _ in entries])
+    trie = {}
+    for held, label, tag in entries:
+        node = trie
+        for rank in ranks:
+            node = node.setdefault(held.mapping()[rank], {})
+        node[label] = PhyloNode(float(held.counter), label, tag)
+
+    def grow(node, depth):
+        out = PhyloNode(float(ranks[depth - 1]))  # depth 0: a placeholder, dropped
+        for key in sorted(node):
+            child = node[key]
+            out.add(grow(child, depth + 1) if isinstance(child, dict) else child)
+        return out
+
+    return collapse_unifurcations(PhyloTree(grow(trie, 0).children))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sorted_rows_build_the_collapsed_trie(data):
+    ranks = sorted(data.draw(st.sets(st.integers(0, 30), min_size=1, max_size=6)))
+    base = data.draw(st.lists(st.integers(0, 2), min_size=len(ranks), max_size=len(ranks)))
+    labels = data.draw(
+        st.lists(st.text("ab_1", min_size=1, max_size=3), min_size=1, max_size=12, unique=True)
+    )
+    entries = []
+    for label in labels:
+        keep = data.draw(st.integers(0, len(ranks)))  # shared prefix; duplicates when whole
+        rest = data.draw(st.lists(st.integers(0, 2), min_size=len(ranks), max_size=len(ranks)))
+        extra = data.draw(st.sets(st.integers(31, 40), max_size=2))  # ranks not all inputs hold
+        pairs = [*zip(ranks, base[:keep] + rest[keep:]), *((rank, 0) for rank in sorted(extra))]
+        counter = data.draw(st.integers(41, 45))
+        entries.append((records(pairs, counter), label, data.draw(st.sampled_from([None, 3]))))
+    assert export_alife_csv(build_forest(entries)) == export_alife_csv(trie_forest(entries))
 
 
 # ---- pairwise divergence bracket ----
