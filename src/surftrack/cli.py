@@ -285,6 +285,10 @@ def _reconstruction_params(args: argparse.Namespace) -> tuple[GenomeLayout, str]
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    ext = os.path.splitext(args.out)[1].lower()
+    if ext not in (".newick", ".csv"):
+        print(f"unsupported tree extension {ext!r}; use .newick or .csv", file=sys.stderr)
+        return 2
     layout, policy = _reconstruction_params(args)
     with open(args.genomes, encoding="utf-8") as fh:
         text = fh.read()
@@ -303,14 +307,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
-    ext = os.path.splitext(args.out)[1].lower()
-    if ext == ".newick":
-        payload = export_newick(tree)
-    elif ext == ".csv":
-        payload = export_alife_csv(tree)
-    else:
-        print(f"unsupported tree extension {ext!r}; use .newick or .csv", file=sys.stderr)
-        return 2
+    payload = export_newick(tree) if ext == ".newick" else export_alife_csv(tree)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(payload)
     print(

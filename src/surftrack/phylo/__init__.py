@@ -1,49 +1,1 @@
 """Phylogeny reconstruction, serialization, and summary metrics."""
-
-from .metrics import (
-    METRICS,
-    classify_effect,
-    cliffs_delta,
-    colless_like_index,
-    evolutionary_distinctness,
-    mean_evolutionary_distinctness,
-    mean_pairwise_distance,
-    sum_branch_length,
-    sum_pairwise_distance,
-)
-from .reconstruct import build_forest, estimate_mrca_range
-from .serialize import (
-    AlifeCsvError,
-    NewickParseError,
-    export_alife_csv,
-    export_newick,
-    import_alife_csv,
-    parse_newick,
-)
-from .tree import PhyloNode, PhyloTree, collapse_unifurcations
-from .triplets import TripletScore, sampled_triplet_error
-
-__all__ = [
-    "AlifeCsvError",
-    "METRICS",
-    "NewickParseError",
-    "PhyloNode",
-    "PhyloTree",
-    "TripletScore",
-    "build_forest",
-    "classify_effect",
-    "cliffs_delta",
-    "collapse_unifurcations",
-    "colless_like_index",
-    "estimate_mrca_range",
-    "evolutionary_distinctness",
-    "export_alife_csv",
-    "export_newick",
-    "import_alife_csv",
-    "mean_evolutionary_distinctness",
-    "mean_pairwise_distance",
-    "parse_newick",
-    "sampled_triplet_error",
-    "sum_branch_length",
-    "sum_pairwise_distance",
-]

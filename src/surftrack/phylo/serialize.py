@@ -221,11 +221,14 @@ def import_alife_csv(text: str) -> PhyloTree:
             raise AlifeCsvError(f"row {rownum}: bad id") from None
         if node_id in nodes:
             raise AlifeCsvError(f"row {rownum}: duplicate id {node_id}")
-        m = _ANCESTOR.match(row[cols["ancestor_list"]].strip())
+        try:
+            ancestors = row[cols["ancestor_list"]]
+        except IndexError:
+            raise AlifeCsvError(f"row {rownum}: missing ancestor_list") from None
+        m = _ANCESTOR.match(ancestors.strip())
         if not m:
             raise AlifeCsvError(
-                f"row {rownum}: ancestor_list must be [none] or [<id>], "
-                f"got {row[cols['ancestor_list']]!r}"
+                f"row {rownum}: ancestor_list must be [none] or [<id>], got {ancestors!r}"
             )
         try:
             origin = float(row[cols["origin_time"]])

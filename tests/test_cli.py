@@ -285,21 +285,6 @@ def test_reconstruct_to_alife_csv(tmp_path):
     assert import_alife_csv(out.read_text()).n_leaves == 8
 
 
-def test_reconstruct_rejects_unknown_extension(tmp_path, capsys):
-    simulate_into(tmp_path)
-    rc = main(
-        [
-            "reconstruct",
-            "--genomes",
-            str(tmp_path / "genomes.csv"),
-            "--out",
-            str(tmp_path / "tree.nexus"),
-        ]
-    )
-    assert rc == 2
-    assert "unsupported tree extension" in capsys.readouterr().err
-
-
 def test_reconstruct_names_the_file_row_and_field_of_a_bad_genome(tmp_path, capsys):
     simulate_into(tmp_path)
     genomes = tmp_path / "genomes.csv"
@@ -313,6 +298,22 @@ def test_reconstruct_names_the_file_row_and_field_of_a_bad_genome(tmp_path, caps
     assert rc == 1
     err = capsys.readouterr().err
     assert f"error: {genomes}: row 3, field 'pe_y': " in err
+
+
+def test_reconstruct_rejects_unknown_extension(tmp_path, capsys):
+    simulate_into(tmp_path)
+    genomes = tmp_path / "genomes.csv"
+    lines = genomes.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "zz"  # genome_hex
+    lines[1] = ",".join(cells)
+    genomes.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "t.nexus"
+    rc = main(["reconstruct", "--genomes", str(genomes), "--out", str(out)])
+    assert rc == 2
+    assert "unsupported tree extension" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_names_a_malformed_manifest(tmp_path, capsys):
@@ -488,6 +489,14 @@ def test_metrics_names_the_file_of_a_bad_tree(tmp_path, capsys):
     rc = main(["metrics", "--tree", str(bad)])
     assert rc == 1
     assert f"error: {bad}: line 1: bad branch length" in capsys.readouterr().err
+
+
+def test_metrics_names_the_row_of_a_short_alife_row(tmp_path, capsys):
+    bad = tmp_path / "t.csv"
+    bad.write_text("id,ancestor_list,origin_time\n0\n")
+    rc = main(["metrics", "--tree", str(bad)])
+    assert rc == 1
+    assert f"error: {bad}: row 2" in capsys.readouterr().err
 
 
 def test_compare_reports_effect_size(tmp_path, capsys):

@@ -181,6 +181,7 @@ def test_alife_blank_rows_skipped():
             "ancestor_list must be",
         ),
         ("id,ancestor_list,origin_time\n0,[none],zero\n", "row 2: bad origin_time"),
+        ("id,ancestor_list,origin_time\n0\n", "row 2: missing ancestor_list"),
         (
             "id,ancestor_list,origin_time,founder_tag\n0,[none],0,green\n",
             "bad founder_tag 'green'",
