@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, oracle
 from .phylo import metrics as phylo_metrics
-from .phylo.reconstruct import build_forest, rank_intersection
+from .phylo.reconstruct import build_forest, rank_intersection, stitch_roots
 from .phylo.serialize import (
     AlifeCsvError,
     NewickParseError,
@@ -299,13 +299,15 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if not rows:
         print("no genomes to reconstruct from", file=sys.stderr)
         return 1
+    shared, per_genome = rank_intersection([r.records for r in rows])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        tree = build_forest(
-            [(r.records, r.label, r.founder_tag) for r in rows], stitch=args.stitch
-        )
+        tree = build_forest([(r.records, r.label, r.founder_tag) for r in rows], shared=shared)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    roots = tree.n_roots
+    if args.stitch:
+        stitch_roots(tree)
 
     payload = export_newick(tree) if ext == ".newick" else export_alife_csv(tree)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -314,9 +316,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         f"reconstructed {tree.n_leaves} leaves into {tree.n_roots} tree(s), "
         f"max depth {tree.max_depth()}; wrote {args.out}"
     )
-    shared, per_genome = rank_intersection([r.records for r in rows])
-    # Genomes that differ at the first shared rank land in separate trees.
-    roots = len({r.records.mapping()[shared[0]] for r in rows}) if shared else len(rows)
     print(
         f"rank intersection kept {len(shared)} of {per_genome:.1f} ranks per genome (mean); "
         f"{roots} root(s) before any stitch"

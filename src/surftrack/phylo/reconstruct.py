@@ -25,15 +25,18 @@ from .tree import PhyloNode, PhyloTree
 def build_forest(
     annotations: Iterable[tuple[RecordSet, str] | tuple[RecordSet, str, int | None]],
     stitch: bool = False,
+    shared: Sequence[int] | None = None,
 ) -> PhyloTree:
     """Reconstruct a phylogeny from labeled record sets.
 
     Each element is ``(records, label)`` or ``(records, label, tag)``.
     Lineages whose records disagree at the first common rank end up in
-    separate trees; ``stitch`` joins a multi-root result under one
-    synthetic root at origin 0.  If the inputs share no ranks at all
-    (e.g. a brand-new lineage among old ones), nothing can be related
-    and the result degrades to one root per input, with a warning.
+    separate trees; ``stitch`` joins a multi-root result with
+    :func:`stitch_roots`.  If the inputs share no ranks at all (e.g. a
+    brand-new lineage among old ones), nothing can be related and the
+    result degrades to one root per input, with a warning.  ``shared``
+    is the inputs' :func:`rank_intersection`, for a caller that already
+    has it; by default it is computed here.
 
     Child order is canonical (by differentia value, then label), so the
     result does not depend on input order.
@@ -51,26 +54,28 @@ def build_forest(
     if len(items) == 1:
         return PhyloTree([items[0][1]])
 
-    ordered, _ = rank_intersection([records for records, _ in items])
+    if shared is None:
+        shared, _ = rank_intersection([records for records, _ in items])
 
-    if not ordered:
+    if not shared:
         warnings.warn(
             "annotations share no retained ranks; returning unrelated leaves",
             stacklevel=2,
         )
-        return _finish(PhyloTree([leaf for _, leaf in items]), stitch)
-
-    # Sort by the values at the shared ranks, then by label: lexsort is
-    # stable, so label order settles rows that match at every rank.
-    items.sort(key=lambda item: item[1].label)
-    mappings = (records.mapping() for records, _ in items)
-    values = np.array([[m[rank] for rank in ordered] for m in mappings])
-    order = np.lexsort(values.T[::-1])
-    values = values[order]
-    differs = values[1:] != values[:-1]
-    first = np.where(differs.any(axis=1), differs.argmax(axis=1), len(ordered))
-    leaves = [items[i][1] for i in order.tolist()]
-    return _finish(PhyloTree(_join(leaves, (first - 1).tolist(), ordered)), stitch)
+        tree = PhyloTree([leaf for _, leaf in items])
+    else:
+        # Sort by the values at the shared ranks, then by label: lexsort is
+        # stable, so label order settles rows that match at every rank.
+        items.sort(key=lambda item: item[1].label)
+        mappings = (records.mapping() for records, _ in items)
+        values = np.array([[m[rank] for rank in shared] for m in mappings])
+        order = np.lexsort(values.T[::-1])
+        values = values[order]
+        differs = values[1:] != values[:-1]
+        first = np.where(differs.any(axis=1), differs.argmax(axis=1), len(shared))
+        leaves = [items[i][1] for i in order.tolist()]
+        tree = PhyloTree(_join(leaves, (first - 1).tolist(), shared))
+    return stitch_roots(tree) if stitch else tree
 
 
 def _join(leaves: list[PhyloNode], meets: list[int], ranks: Sequence[int]) -> list[PhyloNode]:
@@ -105,8 +110,9 @@ def rank_intersection(record_sets: Sequence[RecordSet]) -> tuple[list[int], floa
     return shared, sum(len(ranks) for ranks in rank_sets) / len(rank_sets)
 
 
-def _finish(tree: PhyloTree, stitch: bool) -> PhyloTree:
-    if stitch and len(tree.roots) > 1:
+def stitch_roots(tree: PhyloTree) -> PhyloTree:
+    """Join a multi-root forest under one synthetic root at origin 0, in place."""
+    if len(tree.roots) > 1:
         root = PhyloNode(0.0)
         for r in tree.roots:
             root.add(r)

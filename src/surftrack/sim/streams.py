@@ -116,9 +116,10 @@ class StreamBank:
 
     def __init__(self, seed: int, n_streams: int) -> None:
         self.seed = seed
-        self.keys = np.array(
-            [stream_key(seed, k) for k in range(n_streams)], dtype=np.uint64
-        )
+        # stream_key(seed, k) for every k at once
+        keys = _mix64_array(np.arange(1, n_streams + 1, dtype=np.uint64) * _U64_GOLDEN)
+        keys ^= np.uint64(mix64(seed))
+        self.keys = _mix64_array(keys)
         self.positions = np.zeros(n_streams, dtype=np.uint64)
 
     def draw(self, streams: np.ndarray | slice, count: int) -> np.ndarray:

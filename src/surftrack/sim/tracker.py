@@ -6,13 +6,16 @@ Periodic pruning drops everything not ancestral to a caller-supplied
 live set, which keeps memory proportional to the surviving genealogy
 instead of total births.  The engine prunes every 64 cycles.
 
-Storage: two column buffers, parent and birth rank, reused across
-prunes and grown by half when full.  The rows that survived the last
-prune come first, in id order; their ids sit in a sorted side array and
-their parent column holds the parent's row position.  Every row recorded
-since holds the next consecutive id, so its position follows from its
-id by subtraction, and its parent column holds the parent's id; only
-references to survivors need a binary search.
+Storage: two column buffers, reused across prunes and grown by half
+when full: each row's parent as a row position (int32, NO_PARENT for
+founders) and its birth rank (uint32), 8 bytes per row.  The rows that
+survived the last prune come first, in id order, and their ids sit in a
+sorted side array.  Every row recorded since holds the next consecutive
+id, so from the newest survivors whose ids run on to them, a row's
+position follows from its id by one subtraction; older survivors need a
+binary search.  ``record_cohort`` converts parent ids to positions on
+arrival.  Positions fit because the buffers stay below 2**31 rows, and
+ranks (deposit counters) lie in [0, 2**32).
 
 Each survivor also carries the label of its chain: a maximal run of
 survivors in which every row but the last has exactly one surviving
@@ -27,8 +30,8 @@ into the survivors becomes their entries.  It then marks the survivors
 chain by chain: one step climbs from the tops of the chains just entered
 to the chains their parents sit on, and one gather-and-compare keeps
 every survivor at or above its chain's deepest entry.  The kept rows are
-gathered to the front of the same buffers, their parents rewritten as
-positions, and relabelled.  A cut chain keeps its label, a branch left
+gathered to the front of the same buffers, their parent positions
+renumbered to match, and relabelled.  A cut chain keeps its label, a branch left
 with one kept child merges two chains, and a row that gains a second
 child splits its chain; pointer doubling settles the rows these touch.
 Only the rows recorded since get fresh labels, cohort by cohort, oldest
@@ -47,11 +50,14 @@ migration buffer it equals the wall-clock generation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from ..phylo.tree import PhyloNode, PhyloTree
 
 NO_PARENT = -1
+MAX_ROWS = 2**31 - 1  # rows held at once; positions are int32
 
 
 def _resized(buf: np.ndarray, used: int, capacity: int) -> np.ndarray:
@@ -80,7 +86,7 @@ def _chain_tops(
     slower (360-400 against 260-280 ms on a 2-core host).
     """
     n, m = parent.size, carried.size
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int32)
     top = ~np.append(through, False)[parent]  # a founder's NO_PARENT reads False
     jump = np.where(top, idx, parent)
     head = jump[:m]
@@ -104,12 +110,12 @@ def _chain_tops(
 
 class LineageTracker:
     def __init__(self) -> None:
-        self._parent = np.empty(0, dtype=np.int64)  # survivors: row; recent rows: id
-        self._rank = np.empty(0, dtype=np.int64)
+        self._parent = np.empty(0, dtype=np.int32)  # row of each row's parent
+        self._rank = np.empty(0, dtype=np.uint32)
         self._n = 0  # rows held: survivors first, then rows recorded since
         self._kept_ids = np.empty(0, dtype=np.int64)  # sorted ids of the survivors
-        self._chain = np.empty(0, dtype=np.int64)  # survivors: row of their chain's top
-        self._first_new = 0  # id of the first row recorded since the last prune
+        self._chain = np.empty(0, dtype=np.int32)  # survivors: row of their chain's top
+        self._first_direct = 0  # held ids from here on sit at id - (next id - rows held)
         self._cohorts: list[int] = []  # first row of each cohort recorded since
         self._next_id = 0
         self._stamp = np.empty(0, dtype=np.int32)
@@ -127,17 +133,38 @@ class LineageTracker:
     def record_cohort(self, parents: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """Register a batch of births; returns their new ids.
 
-        Every parent is an id returned by an earlier call, or NO_PARENT.
+        Every parent is a held id returned by an earlier call, or
+        NO_PARENT (KeyError otherwise), and every rank lies in
+        [0, 2**32) (ValueError otherwise).  A failed call records nothing.
         """
+        parents, ranks = np.asarray(parents), np.asarray(ranks)
         m = len(parents)
-        end = self._n + m
+        start, end = self._n, self._n + m
+        if m:
+            lo = int(parents.min())
+            if lo < NO_PARENT or parents.max() >= self._next_id:
+                raise KeyError("unknown lineage id")
+            if ranks.min() < 0 or ranks.max() >= 2**32:  # ranks are uint32
+                raise ValueError("birth ranks must lie in [0, 2**32)")
         if end > len(self._parent):
-            capacity = max(end, len(self._parent) * 3 // 2)
-            self._parent = _resized(self._parent, self._n, capacity)
-            self._rank = _resized(self._rank, self._n, capacity)
-        self._parent[self._n : end] = parents
-        self._rank[self._n : end] = ranks
-        self._cohorts.append(self._n)
+            if end > MAX_ROWS:
+                raise OverflowError(f"the lineage tracker holds at most {MAX_ROWS} rows")
+            capacity = min(max(end, len(self._parent) * 3 // 2), MAX_ROWS)
+            self._parent = _resized(self._parent, start, capacity)
+            self._rank = _resized(self._rank, start, capacity)
+        out = self._parent[start:end]
+        # Ids and the shift wrap to 32 bits alike, so the difference is
+        # exact for every id from _first_direct on.
+        out[:] = parents
+        out -= np.int64(self._next_id - start).astype(np.int32)
+        if m and lo < self._first_direct:  # older survivors or founders
+            old = parents < self._first_direct
+            named = parents[old]
+            real = named != NO_PARENT
+            named[real] = self._positions(named[real])
+            out[old] = named
+        self._rank[start:end] = ranks
+        self._cohorts.append(start)
         self._n = end
         ids = np.arange(self._next_id, self._next_id + m, dtype=np.int64)
         self._next_id += m
@@ -154,9 +181,9 @@ class LineageTracker:
         if ids.max() >= self._next_id:
             raise KeyError("unknown lineage id")
         kept = self._kept_ids
-        pos = ids + (kept.size - self._first_new)
-        if ids.min() < self._first_new:
-            old = ids < self._first_new
+        pos = ids - (self._next_id - self._n)
+        if ids.min() < self._first_direct:
+            old = ids < self._first_direct
             query = ids[old]
             at = np.searchsorted(kept, query)
             if not kept.size or (kept[np.minimum(at, kept.size - 1)] != query).any():
@@ -167,14 +194,14 @@ class LineageTracker:
     def _ancestry(self, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows live or ancestral to a live id, sorted, and the index into
         them of each one's parent (NO_PARENT for founders)."""
-        n_old, first_new = self._kept_ids.size, self._first_new
+        n_old = self._kept_ids.size
         live = np.asarray(live, dtype=np.int64)
         at = self._positions(live[live != NO_PARENT])
-        # Rows recorded since the last prune name their parents by id, and
-        # every parent sits in an earlier cohort: sweep the newest first.
-        seen = np.zeros(self._n - n_old, dtype=bool)  # by id - first_new
+        # Every parent sits in an earlier cohort: sweep the newest first.
+        seen = np.zeros(self._n - n_old, dtype=bool)  # by row - n_old
         seen[at[at >= n_old] - n_old] = True
-        rows, parents = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        entries = [at[at < n_old]]  # survivors reached, and founders
+        rows, parents = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
         ends = self._cohorts[1:] + [self._n]
         for start, end in zip(reversed(self._cohorts), reversed(ends)):
             row = np.flatnonzero(seen[start - n_old : end - n_old])
@@ -182,33 +209,29 @@ class LineageTracker:
             named = self._parent[row]
             rows.append(row)
             parents.append(named)
-            if named.size and named.min() < first_new:
-                named = named[named >= first_new]
-            seen[named - first_new] = True
+            if named.size and named.min() < n_old:
+                old = named < n_old
+                entries.append(named[old])
+                named = named[~old]
+            seen[named - n_old] = True
+        if n_old:
+            entries = np.concatenate(entries, dtype=np.int32)
+            kept = np.flatnonzero(self._survivor_closure(entries[entries != NO_PARENT]))
+            rows.append(kept)
+            parents.append(self._parent[kept])
         rows = np.concatenate(rows[::-1])
         parents = np.concatenate(parents[::-1])
-        older = parents < first_new  # survivors, named by id, and founders
-        entries = parents[older]
-        real = entries != NO_PARENT
-        entries[real] = self._positions(entries[real])
-        parents += n_old - first_new
-        parents[older] = entries
-        if n_old:
-            entries = np.concatenate([at[at < n_old], entries[real]])
-            kept = np.flatnonzero(self._survivor_closure(entries))
-            rows = np.concatenate([kept, rows])
-            parents = np.concatenate([self._parent[kept], parents])
         if len(self._stamp) <= self._n:
             self._stamp = np.empty(len(self._parent) + 1, dtype=np.int32)
             self._stamp[-1] = NO_PARENT  # never a row's: maps NO_PARENT to itself
         self._stamp[rows] = np.arange(rows.size, dtype=np.int32)
-        return rows, self._stamp[parents].astype(np.int64)
+        return rows, self._stamp[parents]
 
     def _survivor_closure(self, entries: np.ndarray) -> np.ndarray:
         """Mask over the survivors: ``entries`` (rows) and their ancestors."""
         n_old = self._kept_ids.size
         chain = self._chain
-        deep = np.full(n_old, -1, dtype=np.int64)  # deepest entry, by chain top
+        deep = np.full(n_old, -1, dtype=np.int32)  # deepest entry, by chain top
         # Each step climbs from the tops of the chains just entered to the
         # chains their parents sit on.
         while entries.size:
@@ -217,7 +240,7 @@ class LineageTracker:
             np.maximum.at(deep, tops, entries)
             entries = self._parent[fresh]
             entries = entries[entries != NO_PARENT]
-        return np.arange(n_old) <= deep[chain]
+        return np.arange(n_old, dtype=np.int32) <= deep[chain]
 
     def _tops(self, rows: np.ndarray, parents: np.ndarray, through: np.ndarray) -> np.ndarray:
         """Chain tops over a closure's ``rows``, as indices into them.
@@ -226,7 +249,7 @@ class LineageTracker:
         survivor's carried chain label into ``rows``.
         """
         old = rows[: np.searchsorted(rows, self._kept_ids.size)]
-        carried = self._stamp[self._chain[old]].astype(np.int64)
+        carried = self._stamp[self._chain[old]]
         blocks = np.searchsorted(rows, self._cohorts).tolist()
         return _chain_tops(parents, through, carried, blocks)
 
@@ -234,19 +257,23 @@ class LineageTracker:
         """Drop records not ancestral to ``live``; returns rows removed."""
         rows, parents = self._ancestry(live)
         k = rows.size
-        n_old = self._kept_ids.size
-        ids = rows + (self._first_new - n_old)
-        survivors = np.searchsorted(rows, n_old)  # rows are sorted: old ones first
+        through = np.bincount(parents[parents != NO_PARENT], minlength=k) == 1
+        chain = self._tops(rows, parents, through)
+        ids = rows + (self._next_id - self._n)
+        survivors = np.searchsorted(rows, self._kept_ids.size)  # rows are sorted: old ones first
         ids[:survivors] = self._kept_ids[rows[:survivors]]
-        kids = np.bincount(parents[parents != NO_PARENT], minlength=k)
-        self._chain = self._tops(rows, parents, kids == 1)
+        self._chain = chain
         self._parent[:k] = parents
         self._rank[:k] = self._rank[rows]
         removed = self._n - k
         self._peak = max(self._peak, self._n)
         self._n = k
         self._kept_ids = ids
-        self._first_new = self._next_id
+        # Kept ids that run on, one by one, to the newest id map by
+        # subtraction; ids[i] - i grows with i and reaches the shift only
+        # along that run.
+        shift = self._next_id - k
+        self._first_direct = shift + bisect_left(range(k), shift, key=lambda i: ids[i] - i)
         self._cohorts = []
         self.rows_pruned += removed
         return removed

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surftrack.surface.annotation import RecordSet, SurfaceAnnotation
-from surftrack.phylo.reconstruct import build_forest, estimate_mrca_range, rank_intersection
+from surftrack.phylo.reconstruct import (
+    build_forest,
+    estimate_mrca_range,
+    rank_intersection,
+    stitch_roots,
+)
 from surftrack.phylo.serialize import export_alife_csv
 from surftrack.phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
 
@@ -106,6 +111,17 @@ def test_stitch_is_a_noop_on_single_tree():
     from surftrack.phylo.serialize import export_newick
 
     assert export_newick(stitched) == export_newick(plain)
+
+
+def test_a_given_intersection_and_a_later_stitch_match_one_call():
+    from surftrack.phylo.serialize import export_newick
+
+    lineages = [(from_values([r, 5, 6 + i % 2]), f"L{i}") for i, r in enumerate([1, 1, 2, 3])]
+    shared, _ = rank_intersection([rs for rs, _ in lineages])
+    tree = build_forest(lineages, shared=shared)
+    assert tree.n_roots == 3
+    assert export_newick(tree) == export_newick(build_forest(lineages))
+    assert export_newick(stitch_roots(tree)) == export_newick(build_forest(lineages, stitch=True))
 
 
 def test_no_common_ranks_warns_and_degrades():

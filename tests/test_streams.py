@@ -75,6 +75,14 @@ def test_streams_differ_across_ids_and_seeds():
     assert not set(a) & set(b)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 1, -5, 2**70 + 3])
+@pytest.mark.parametrize("n_streams", [1, 2, 16385, 16386])
+def test_bank_keys_match_scalar_stream_keys(seed, n_streams):
+    keys = streams.StreamBank(seed, n_streams).keys
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [streams.stream_key(seed, k) for k in range(n_streams)]
+
+
 def test_to_unit_range_and_resolution():
     vals = np.array([0, 1, (1 << 64) - 1], dtype=np.uint64)
     u = streams.to_unit(vals)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surftrack.phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
+from surftrack.sim import tracker
 from surftrack.sim.tracker import NO_PARENT, LineageTracker
 
 from _trees import canon, canon_ordered
@@ -270,7 +271,7 @@ def test_interleaved_prunes_agree_with_a_brute_force_reference(seed):
 
 
 @pytest.mark.parametrize("case", ["past-next-id", "negative", "pruned-away"])
-@pytest.mark.parametrize("method", ["prune", "to_tree"])
+@pytest.mark.parametrize("method", ["prune", "to_tree", "record_cohort"])
 def test_ids_not_held_are_rejected(method, case):
     tr, founder, a, b = family()
     tr.prune(np.array([a]))  # drops b
@@ -280,9 +281,37 @@ def test_ids_not_held_are_rejected(method, case):
     with pytest.raises(KeyError):
         if method == "prune":
             tr.prune(ids)
-        else:
+        elif method == "to_tree":
             tr.to_tree(ids, ["C", "X"])
+        else:
+            tr.record_cohort(ids, np.full(2, 3))
     assert len(tr) == 3  # a failed call leaves the records alone
+    d = tr.record_birth(c, 3)  # and the next id is still the next one
+    assert d == c + 1
+
+
+@pytest.mark.parametrize("rank", [-1, 2**32, 2**40])
+def test_ranks_outside_32_bits_are_rejected(rank):
+    tr, founder, a, b = family()
+    with pytest.raises(ValueError, match="ranks"):
+        tr.record_cohort(np.array([a, b]), np.array([2, rank]))
+    assert len(tr) == 3
+
+
+def test_the_largest_rank_round_trips():
+    tr = LineageTracker()
+    founder = tr.record_birth(NO_PARENT, 2**32 - 1)
+    assert tr.to_tree(np.array([founder]), ["F"]).roots[0].origin_time == 2**32 - 1
+
+
+def test_rows_held_are_capped(monkeypatch):
+    monkeypatch.setattr(tracker, "MAX_ROWS", 4)
+    tr, founder, a, b = family()
+    with pytest.raises(OverflowError):
+        tr.record_cohort(np.array([a, b]), np.full(2, 2))
+    assert len(tr) == 3
+    tr.record_birth(a, 2)  # the fourth row still fits
+    assert len(tr) == 4
 
 
 class Mirror:
@@ -333,6 +362,26 @@ class Mirror:
         got.validate()
         want = brute_tree(self.parent_of, self.rank_of, sample, labels)
         assert canon_ordered(got) == canon_ordered(want)
+
+
+def test_one_cohort_names_survivors_recent_rows_and_founders():
+    m = Mirror()
+    founders = m.cohort([NO_PARENT] * 3)
+    line = m.chain(founders[0], 5)
+    side = m.cohort([founders[1], line[2]])
+    # founders[0] and founders[1] survive ahead of an unbroken run of ids
+    # that ends at the newest row; founders[2] is dropped.
+    m.prune([line[-1], side[0], side[1], line[1]])
+    recent = m.cohort([line[-1], side[1], founders[1]])
+    mixed = m.cohort(
+        [founders[1], line[1], NO_PARENT, recent[0], founders[0], recent[2], NO_PARENT, side[0]]
+    )
+    m.check_tree(mixed + [line[1], recent[1]])
+    m.prune(mixed + [recent[1]])
+    m.check_tree(mixed + [recent[1], line[1]])
+    late = m.cohort([mixed[2], founders[1], recent[1], line[-1]])
+    m.prune(late)
+    m.check_tree(late)
 
 
 def test_unary_chain_thousands_of_levels_deep():
