@@ -197,26 +197,23 @@ class LineageTracker:
         n_old = self._kept_ids.size
         live = np.asarray(live, dtype=np.int64)
         at = self._positions(live[live != NO_PARENT])
-        # Every parent sits in an earlier cohort: sweep the newest first.
-        seen = np.zeros(self._n - n_old, dtype=bool)  # by row - n_old
-        seen[at[at >= n_old] - n_old] = True
-        entries = [at[at < n_old]]  # survivors reached, and founders
+        # Every parent sits in an earlier cohort or among the survivors:
+        # sweep the newest first.  A mark on a row already swept changes
+        # nothing, so NO_PARENT may mark the spare last entry.
+        seen = np.zeros(self._n + 1, dtype=bool)
+        seen[at] = True
         rows, parents = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
         ends = self._cohorts[1:] + [self._n]
         for start, end in zip(reversed(self._cohorts), reversed(ends)):
-            row = np.flatnonzero(seen[start - n_old : end - n_old])
+            row = np.flatnonzero(seen[start:end])
             row += start
             named = self._parent[row]
             rows.append(row)
             parents.append(named)
-            if named.size and named.min() < n_old:
-                old = named < n_old
-                entries.append(named[old])
-                named = named[~old]
-            seen[named - n_old] = True
+            seen[named] = True
         if n_old:
-            entries = np.concatenate(entries, dtype=np.int32)
-            kept = np.flatnonzero(self._survivor_closure(entries[entries != NO_PARENT]))
+            entries = np.flatnonzero(seen[:n_old]).astype(np.int32)
+            kept = np.flatnonzero(self._survivor_closure(entries))
             rows.append(kept)
             parents.append(self._parent[kept])
         rows = np.concatenate(rows[::-1])
