@@ -102,12 +102,13 @@ def _join(leaves: list[PhyloNode], meets: list[int], ranks: Sequence[int]) -> li
 
 def rank_intersection(record_sets: Sequence[RecordSet]) -> tuple[list[int], float]:
     """The ranks every record set holds, ascending, and the mean number of
-    ranks a set holds.  ``build_forest`` reads its inputs at these ranks."""
-    rank_sets = [set(records.ranks()) for records in record_sets]
-    if not rank_sets:
+    ranks a set holds.  Residency depends on the counter alone, so the sets
+    hold few distinct rank tuples; one set is built per distinct tuple."""
+    if not record_sets:
         return [], 0.0
-    shared = sorted(set.intersection(*rank_sets))
-    return shared, sum(len(ranks) for ranks in rank_sets) / len(rank_sets)
+    distinct = {records.held for records in record_sets}
+    shared = set(distinct.pop()).intersection(*distinct)
+    return sorted(shared), sum(len(records.held) for records in record_sets) / len(record_sets)
 
 
 def stitch_roots(tree: PhyloTree) -> PhyloTree:

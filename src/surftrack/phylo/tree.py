@@ -14,7 +14,7 @@ class PhyloNode:
     counter); for tracked trees, the birth generation.
     """
 
-    __slots__ = ("origin_time", "label", "founder_tag", "children", "parent")
+    __slots__ = ("origin_time", "label", "founder_tag", "children")
 
     def __init__(
         self,
@@ -26,10 +26,8 @@ class PhyloNode:
         self.label = label
         self.founder_tag = founder_tag
         self.children: list[PhyloNode] = []
-        self.parent: PhyloNode | None = None
 
     def add(self, child: PhyloNode) -> PhyloNode:
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -88,15 +86,14 @@ class PhyloTree:
         return max(depths(self.preorder()[1]), default=0)
 
     def validate(self) -> None:
-        """Check parent links and time monotonicity; raises ValueError."""
+        """Check that no node is reachable twice and that no child
+        precedes its parent in time; raises ValueError."""
         seen: set[int] = set()
         for node in self.nodes():
             if id(node) in seen:
                 raise ValueError("node reachable twice; not a forest")
             seen.add(id(node))
             for child in node.children:
-                if child.parent is not node:
-                    raise ValueError("child/parent link mismatch")
                 if child.origin_time < node.origin_time:
                     raise ValueError(
                         f"child origin {child.origin_time} precedes "
@@ -124,7 +121,6 @@ def collapse_unifurcations(tree: PhyloTree) -> PhyloTree:
     for root in tree.roots:
         while len(root.children) == 1:
             root = root.children[0]
-        root.parent = None
         stack = [root]
         while stack:
             node = stack.pop()
@@ -132,7 +128,6 @@ def collapse_unifurcations(tree: PhyloTree) -> PhyloTree:
             for child in node.children:
                 while len(child.children) == 1:
                     child = child.children[0]
-                child.parent = node
                 squashed.append(child)
                 stack.append(child)
             node.children = squashed

@@ -147,9 +147,9 @@ class DeterministicGrid:
         self._cand_steps = np.arange(K, dtype=np.uint64) * np.uint64(n)
         self._tie_steps = np.arange(K * n, 2 * K * n, dtype=np.uint64)  # tie draws in a block
         self._tie_cols = np.tile(np.arange(n, dtype=np.uint64), K)  # j of each tie draw
-        # Per-rank deposit lookups, built on first use and grown on demand.
+        # Per-rank deposit lookups, built on first use and grown on demand;
+        # slot -1 marks a rank the policy discards.
         self._rank_slot = np.empty(0, dtype=np.int64)
-        self._rank_stored = np.empty(0, dtype=bool)
         self._rank_mask = np.empty(0, dtype=np.uint64)
 
         w = config.differentia_bits
@@ -370,14 +370,12 @@ class DeterministicGrid:
         cfg = self.config
         ranks = range(have, max(2 * have, top + 1))
         placed = [site(cfg.policy, r, cfg.slot_count) for r in ranks]
-        stored = np.array([s is not None for s in placed], dtype=bool)
-        slots = np.array([s or 0 for s in placed], dtype=np.int64)
+        slots = np.array([-1 if s is None else s for s in placed], dtype=np.int64)
         self._rank_slot = np.concatenate([self._rank_slot, slots])
-        self._rank_stored = np.concatenate([self._rank_stored, stored])
         if self.pop["surf"].ndim == 2:
             # A zero mask leaves a discarded rank's 1-bit surface as it is.
-            bit = np.uint64(1) << slots.astype(np.uint64)
-            mask = np.where(stored, bit, np.uint64(0))
+            bit = np.uint64(1) << np.maximum(slots, 0).astype(np.uint64)
+            mask = np.where(slots >= 0, bit, np.uint64(0))
             self._rank_mask = np.concatenate([self._rank_mask, mask])
 
     def _deposit(self, pop: dict[str, np.ndarray], ids: np.ndarray) -> None:
@@ -402,8 +400,9 @@ class DeterministicGrid:
             surf |= draws
         else:
             vals = (draws & np.uint64((1 << cfg.differentia_bits) - 1)).astype(np.uint8)
-            stored = self._rank_stored.take(counters)
-            flat = (self._row_base[: len(ids)] + np.arange(K)) * S + self._rank_slot.take(counters)
+            slot = self._rank_slot.take(counters)
+            stored = slot >= 0
+            flat = (self._row_base[: len(ids)] + np.arange(K)) * S + slot
             np.put(surf, flat[stored], vals[stored])
         counters += 1
 

@@ -218,6 +218,7 @@ class LineageTracker:
             parents.append(self._parent[kept])
         rows = np.concatenate(rows[::-1])
         parents = np.concatenate(parents[::-1])
+        # A stamp, not np.searchsorted(rows, parents): that saved 2 MiB but doubled prune time.
         if len(self._stamp) <= self._n:
             self._stamp = np.empty(len(self._parent) + 1, dtype=np.int32)
             self._stamp[-1] = NO_PARENT  # never a row's: maps NO_PARENT to itself

@@ -13,22 +13,23 @@ from . import sites
 class RecordSet:
     """Immutable snapshot of one annotation's recoverable history.
 
-    ``entries`` pairs each resident rank with its differentia value,
-    sorted by rank.  ``counter`` is the total number of deposits the
+    ``held`` is the resident ranks, ascending, and ``values`` the
+    differentia at them.  ``counter`` is the total number of deposits the
     annotation had seen, which doubles as the lineage's age.
     """
 
-    entries: tuple[tuple[int, int], ...]
+    held: tuple[int, ...]
+    values: tuple[int, ...]
     counter: int
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.entries)
+        return self.held
 
     def mapping(self) -> dict[int, int]:
-        return dict(self.entries)
+        return dict(zip(self.held, self.values))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.held)
 
 
 @dataclass
@@ -88,9 +89,9 @@ class SurfaceAnnotation:
         return sites.resident_rank(self.policy, slot, self.counter, self.slot_count)
 
     def to_records(self) -> RecordSet:
-        """Extract all recoverable (rank, differentia) pairs."""
-        ranks, slots = residency(self.policy, self.slot_count, self.counter)
-        return RecordSet(tuple(zip(ranks, [self.slots[s] for s in slots])), self.counter)
+        """Extract the resident ranks and the differentia at them."""
+        held, slots = residency(self.policy, self.slot_count, self.counter)
+        return RecordSet(held, tuple(self.slots[s] for s in slots), self.counter)
 
 
 def residency(
@@ -119,23 +120,15 @@ def surface_records(
 
     ``counters`` is (n,) and ``surfaces`` is an (n, slot_count) uint8
     array.  The residency table is computed once per distinct counter,
-    and each distinct (rank, value) pair is built once and shared by the
-    record sets that hold it.
+    and its rank tuple is shared by every record set of that counter.
     """
     out: list[RecordSet] = [None] * len(counters)  # type: ignore[list-item]
     distinct, group = np.unique(np.asarray(counters, dtype=np.int64), return_inverse=True)
     rows = np.argsort(group, kind="stable")
     cuts = np.cumsum(np.bincount(group, minlength=len(distinct)))[:-1]
     for counter, members in zip(distinct.tolist(), np.split(rows, cuts)):
-        ranks, slots = residency(policy, slot_count, counter)
-        # Record k of a surface holding value v has code 256 * k + v.
-        codes = surfaces[np.ix_(members, np.asarray(slots, dtype=np.intp))].astype(np.int64)
-        codes += np.arange(len(slots), dtype=np.int64) << 8
-        used, index = np.unique(codes, return_inverse=True)
-        pairs = np.fromiter(
-            ((ranks[code >> 8], code & 0xFF) for code in used.tolist()), dtype=object
-        )
-        entries = pairs[index].reshape(codes.shape).tolist()
-        for row, held in zip(members.tolist(), entries):
-            out[row] = RecordSet(tuple(held), counter)
+        held, slots = residency(policy, slot_count, counter)
+        values = surfaces[np.ix_(members, np.asarray(slots, dtype=np.intp))].tolist()
+        for row, vals in zip(members.tolist(), values):
+            out[row] = RecordSet(held, tuple(vals), counter)
     return out

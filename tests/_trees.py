@@ -56,16 +56,20 @@ def random_tree(seed: int, max_leaves: int = 64, forest: bool = False) -> PhyloT
     n = rng.randint(2, max_leaves)
     n_roots = min(rng.randint(2, 4), n // 2) if forest and n >= 4 else 1
 
+    up: dict[int, PhyloNode] = {}  # id of each non-root node -> its parent
+
+    def sprout(node: PhyloNode) -> None:
+        for _ in range(2):
+            up[id(node.add(leaf(0.0, None)))] = node
+
     roots = [PhyloNode(float(rng.randint(0, 3))) for _ in range(n_roots)]
     for root in roots:
-        root.add(leaf(0.0, None))
-        root.add(leaf(0.0, None))
+        sprout(root)
     made = 2 * n_roots
     while made < n:
         victim = rng.choice([x for r in roots for x in _leaves_under(r)])
-        victim.origin_time = victim.parent.origin_time + rng.randint(1, 4)
-        victim.add(leaf(0.0, None))
-        victim.add(leaf(0.0, None))
+        victim.origin_time = up[id(victim)].origin_time + rng.randint(1, 4)
+        sprout(victim)
         made += 1
 
     idx = 0
@@ -74,7 +78,7 @@ def random_tree(seed: int, max_leaves: int = 64, forest: bool = False) -> PhyloT
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                node.origin_time = node.parent.origin_time + rng.randint(1, 6)
+                node.origin_time = up[id(node)].origin_time + rng.randint(1, 6)
                 node.label = f"t{idx}"
                 idx += 1
             else:

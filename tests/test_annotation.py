@@ -11,7 +11,7 @@ def test_deposit_sequence_matches_inversion():
         ann.deposit(t % 251)
     records = ann.to_records()
     assert records.counter == 20
-    for rank, value in records.entries:
+    for rank, value in records.mapping().items():
         assert value == rank % 251
     assert records.ranks() == tuple(sorted(records.ranks()))
 
@@ -27,7 +27,7 @@ def test_records_len_and_mapping():
 
 def test_empty_annotation_has_no_records():
     ann = SurfaceAnnotation("steady", 16)
-    assert ann.to_records().entries == ()
+    assert ann.to_records().held == ann.to_records().values == ()
     assert ann.resident_rank(0) is None
 
 

@@ -216,7 +216,22 @@ def test_residency_records_match_replay(policy, slot_count, monkeypatch):
     replayed = {c: oracle.replay_retained(policy, slot_count, c) for c in distinct}
     for counter, row, records in zip(counters, surfaces.tolist(), got):
         held = replayed[counter]
-        want = RecordSet(tuple(sorted((rank, row[s]) for s, rank in held.items())), counter)
+        pairs = sorted((rank, row[s]) for s, rank in held.items())
+        want = RecordSet(tuple(r for r, _ in pairs), tuple(v for _, v in pairs), counter)
         assert records == want
         ann = SurfaceAnnotation(policy, slot_count, 8, counter=counter, slots=row)
         assert ann.to_records() == want
+
+
+@pytest.mark.parametrize("policy", sites.POLICIES)
+def test_record_sets_of_one_counter_share_their_ranks(policy):
+    rng = random.Random(policy)
+    counters = [rng.choice([0, 5, 37, 1000]) for _ in range(40)]
+    surfaces = np.array([[rng.randrange(256) for _ in range(16)] for _ in counters], np.uint8)
+    got = surface_records(policy, 16, np.array(counters), surfaces)
+    first = {}
+    for counter, row, records in zip(counters, surfaces.tolist(), got):
+        assert records.held is first.setdefault(counter, records.held)
+        ann = SurfaceAnnotation(policy, 16, 8, counter=counter, slots=row)
+        assert records == ann.to_records()
+    assert len(first) == 4

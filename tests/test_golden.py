@@ -174,9 +174,16 @@ def decoded_hash(config: GridConfig, asynchronous: bool = False) -> str:
     text = case_genomes_csv(config, asynchronous)[2]
     rows = read_genomes_csv(text, config.genome_layout(), config.policy)
     rendering = "".join(
-        f"{r.label} {r.records!r} {r.founder_tag!r} {r.fitness!r}\n" for r in rows
+        f"{r.label} {_records_text(r.records)} {r.founder_tag!r} {r.fitness!r}\n" for r in rows
     )
     return hashlib.sha256(rendering.encode()).hexdigest()
+
+
+def _records_text(records) -> str:
+    """A record set's (rank, value) pairs and counter, spelled as the
+    DECODED hashes were recorded, so they do not depend on field names."""
+    pairs = tuple(zip(records.ranks(), records.values))
+    return f"RecordSet(entries={pairs!r}, counter={records.counter!r})"
 
 
 def reconstructed_hash(config: GridConfig, asynchronous: bool = False) -> str:

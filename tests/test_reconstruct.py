@@ -18,7 +18,7 @@ from surftrack.phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
 
 
 def records(pairs, counter):
-    return RecordSet(entries=tuple(pairs), counter=counter)
+    return RecordSet(tuple(r for r, _ in pairs), tuple(v for _, v in pairs), counter)
 
 
 def from_values(values, policy="steady", slots=64, bits=8):
@@ -143,6 +143,7 @@ def test_rank_intersection_keeps_the_ranks_every_input_holds():
     assert rank_intersection([]) == ([], 0.0)
     young = records([(0, 1)], counter=1)
     assert rank_intersection([young, b]) == ([], 2.0)
+    assert rank_intersection([young, young, b]) == ([], 5 / 3)
 
 
 def test_founder_tags_ride_along():
@@ -201,6 +202,24 @@ def test_sorted_rows_build_the_collapsed_trie(data):
         counter = data.draw(st.integers(41, 45))
         entries.append((records(pairs, counter), label, data.draw(st.sampled_from([None, 3]))))
     assert export_alife_csv(build_forest(entries)) == export_alife_csv(trie_forest(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_intersection_matches_a_per_set_reference(data):
+    pool = data.draw(
+        st.lists(st.sets(st.integers(0, 12), max_size=8).map(sorted), min_size=1, max_size=4)
+    )
+    shapes = [tuple(ranks) for ranks in pool]  # one shared object per shape
+    sets = []
+    for _ in range(data.draw(st.integers(1, 10))):
+        held = data.draw(st.sampled_from(shapes))
+        if data.draw(st.booleans()):
+            held = tuple(list(held))  # equal ranks in a distinct tuple
+        sets.append(RecordSet(held, (0,) * len(held), 0))
+    shared, mean = rank_intersection(sets)
+    assert shared == sorted(set.intersection(*(set(s.ranks()) for s in sets)))
+    assert mean == sum(len(s.ranks()) for s in sets) / len(sets)
 
 
 # ---- pairwise divergence bracket ----
