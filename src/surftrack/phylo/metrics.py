@@ -18,26 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .tree import PhyloNode, PhyloTree, depths
-
-
-def _postorder(tree: PhyloTree) -> list[PhyloNode]:
-    out: list[PhyloNode] = []
-    for root in tree.roots:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(node.children)
-    out.reverse()
-    return out
+from .tree import PhyloTree, children, depths
 
 
 def sum_branch_length(tree: PhyloTree) -> float:
     """Total origin-time delta across all edges; 0 for a lone leaf."""
-    return float(
-        sum(c.origin_time - n.origin_time for n in tree.nodes() for c in n.children)
-    )
+    time = tree.origin_time
+    return float(sum(t - time[p] for t, p in zip(time, tree.parent) if p >= 0))
 
 
 def _pairwise_totals(tree: PhyloTree) -> tuple[float, int]:
@@ -45,15 +32,15 @@ def _pairwise_totals(tree: PhyloTree) -> tuple[float, int]:
         raise ValueError(
             "pairwise distances need a single root; stitch the forest first"
         )
-    order, parents = tree.preorder()
+    parents = tree.parent
     depth = depths(parents)
-    leaves_below = [0] * len(order)
-    kid_pairs = [0] * len(order)  # leaf pairs that meet below each node
+    leaves_below = [0] * len(parents)
+    kid_pairs = [0] * len(parents)  # leaf pairs that meet below each node
     total_depth = 0
     n_leaves = 0
     lca_sum = 0
-    for i in reversed(range(len(order))):
-        if order[i].is_leaf:
+    for i in reversed(range(len(parents))):
+        if not leaves_below[i]:  # a leaf: every child adds at least one
             mine = 1
             total_depth += depth[i]
             n_leaves += 1
@@ -93,15 +80,43 @@ def colless_like_index(tree: PhyloTree) -> float:
     absolute deviation of its children's subtree sizes from their
     median.  Caterpillars maximize this, balanced trees minimize it.
     """
+    kids = children(tree.parent)
+    # Visit children before parents, roots last to first, each tree's
+    # children left to right: the float sums depend on this order.
+    order: list[int] = []
+    stack = kids[-1][::-1]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(kids[i])
     total = 0.0
-    fsize: dict[int, float] = {}
-    for node in _postorder(tree):
-        w = math.log(len(node.children) + math.e)
-        fsize[id(node)] = w + sum(fsize[id(c)] for c in node.children)
-        if node.children:
-            sizes = np.array([fsize[id(c)] for c in node.children])
+    fsize = [0.0] * len(tree.parent)
+    for i in reversed(order):
+        w = math.log(len(kids[i]) + math.e)
+        fsize[i] = w + sum(fsize[c] for c in kids[i])
+        if kids[i]:
+            sizes = np.array([fsize[c] for c in kids[i]])
             total += float(np.abs(sizes - np.median(sizes)).mean())
     return total
+
+
+def _distinctness(tree: PhyloTree) -> tuple[list[int], list[float]]:
+    """Leaf positions in the order the float mean sums them (roots first
+    to last, each tree's leaves last to first), and every node's
+    fair-proportion score."""
+    parent, time = tree.parent, tree.origin_time
+    leaves_below = [0] * len(parent)
+    for i in reversed(range(len(parent))):
+        leaves_below[i] = leaves_below[i] or 1
+        if parent[i] >= 0:
+            leaves_below[parent[i]] += leaves_below[i]
+    score = [0.0] * len(parent)
+    for i, p in enumerate(parent):
+        if p >= 0:
+            score[i] = score[p] + (time[i] - time[p]) / leaves_below[i]
+    roots = [i for i, p in enumerate(parent) if p < 0]
+    order = sorted(tree.leaf_positions(), key=lambda i: (bisect_right(roots, i), -i))
+    return order, score
 
 
 def evolutionary_distinctness(tree: PhyloTree) -> dict[str, float]:
@@ -109,35 +124,25 @@ def evolutionary_distinctness(tree: PhyloTree) -> dict[str, float]:
 
     Each edge's length is split evenly among the leaves below it; a
     leaf's score sums its share along its root path.  Scores therefore
-    add up to the total branch length.  Leaves must be labeled.
+    add up to the total branch length.  Leaves must carry distinct labels.
     """
+    order, score = _distinctness(tree)
     out: dict[str, float] = {}
-    order = _postorder(tree)
-    leaves_below = {}
-    for node in order:
-        leaves_below[id(node)] = (
-            1 if node.is_leaf else sum(leaves_below[id(c)] for c in node.children)
-        )
-    for root in tree.roots:
-        stack = [(root, 0.0)]
-        while stack:
-            node, acc = stack.pop()
-            if node.is_leaf:
-                if node.label is None:
-                    raise ValueError("evolutionary distinctness needs labeled leaves")
-                out[node.label] = acc
-                continue
-            for c in node.children:
-                share = (c.origin_time - node.origin_time) / leaves_below[id(c)]
-                stack.append((c, acc + share))
+    for i in order:
+        label = tree.label[i]
+        if label is None:
+            raise ValueError("evolutionary distinctness needs labeled leaves")
+        if label in out:
+            raise ValueError(f"duplicate leaf label {label!r}")
+        out[label] = score[i]
     return out
 
 
 def mean_evolutionary_distinctness(tree: PhyloTree) -> float:
-    scores = evolutionary_distinctness(tree)
-    if not scores:
+    order, score = _distinctness(tree)
+    if not order:
         raise ValueError("tree has no leaves")
-    return sum(scores.values()) / len(scores)
+    return sum(score[i] for i in order) / len(order)
 
 
 _EFFECT_EDGES = (0.147, 0.33, 0.474)

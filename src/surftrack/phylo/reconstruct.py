@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..surface.annotation import RecordSet
-from .tree import PhyloNode, PhyloTree
+from .tree import PhyloTree
 
 
 def build_forest(
@@ -41,63 +41,70 @@ def build_forest(
     Child order is canonical (by differentia value, then label), so the
     result does not depend on input order.
     """
-    items = [
-        (e[0], PhyloNode(float(e[0].counter), e[1], e[2] if len(e) > 2 else None))
-        for e in annotations
-    ]
-    if not items:
+    entries = [(e[0], e[1], e[2] if len(e) > 2 else None) for e in annotations]
+    if not entries:
         raise ValueError("no annotations to reconstruct from")
-    labels = [leaf.label for _, leaf in items]
+    labels = [label for _, label, _ in entries]
     if len(set(labels)) != len(labels):
         dupe = next(x for x in labels if labels.count(x) > 1)
         raise ValueError(f"leaf labels must be unique; {dupe!r} repeats")
-    if len(items) == 1:
-        return PhyloTree([items[0][1]])
+    if len(entries) == 1:
+        return _join(entries, [], [])
 
     if shared is None:
-        shared, _ = rank_intersection([records for records, _ in items])
+        shared, _ = rank_intersection([records for records, _, _ in entries])
 
     if not shared:
         warnings.warn(
             "annotations share no retained ranks; returning unrelated leaves",
             stacklevel=2,
         )
-        tree = PhyloTree([leaf for _, leaf in items])
+        tree = _join(entries, [-1] * (len(entries) - 1), [])
     else:
         # Sort by the values at the shared ranks, then by label: lexsort is
         # stable, so label order settles rows that match at every rank.
-        items.sort(key=lambda item: item[1].label)
-        mappings = (records.mapping() for records, _ in items)
+        entries.sort(key=lambda entry: entry[1])
+        mappings = (records.mapping() for records, _, _ in entries)
         values = np.array([[m[rank] for rank in shared] for m in mappings])
         order = np.lexsort(values.T[::-1])
         values = values[order]
         differs = values[1:] != values[:-1]
         first = np.where(differs.any(axis=1), differs.argmax(axis=1), len(shared))
-        leaves = [items[i][1] for i in order.tolist()]
-        tree = PhyloTree(_join(leaves, (first - 1).tolist(), shared))
+        tree = _join([entries[i] for i in order.tolist()], (first - 1).tolist(), shared)
     return stitch_roots(tree) if stitch else tree
 
 
-def _join(leaves: list[PhyloNode], meets: list[int], ranks: Sequence[int]) -> list[PhyloNode]:
-    """Roots over sorted ``leaves``; leaves i and i+1 meet at column
-    ``meets[i]`` of ``ranks`` (-1: no common ancestor).  ``open_`` holds
-    the branching nodes above the newest leaf, shallowest first."""
-    roots: list[PhyloNode] = []
-    open_: list[tuple[int, PhyloNode]] = []
-    done = leaves[0]
-    for meet, leaf in zip(meets + [-1], leaves[1:] + [None]):
+def _join(leaves: list[tuple], meets: list[int], ranks: Sequence[int]) -> PhyloTree:
+    """The forest over sorted ``leaves``, each ``(records, label, tag)``;
+    leaves i and i+1 meet at column ``meets[i]`` of ``ranks`` (-1: no
+    common ancestor).  ``open_`` holds the branching nodes above the
+    newest leaf, shallowest first.  Nodes are numbered as they are made,
+    each after its first child and before its later ones, so siblings
+    come numbered in order."""
+    parent: list[int] = []
+    time: list[float] = []
+    label: list[str | None] = []
+    tag: list[int | None] = []
+    open_: list[tuple[int, int]] = []  # (meet, node)
+    for (records, name, founder), meet in zip(leaves, meets + [-1]):
+        done = len(parent)
+        parent.append(-1)
+        time.append(float(records.counter))
+        label.append(name)
+        tag.append(founder)
         while open_ and open_[-1][0] > meet:
             node = open_.pop()[1]
-            node.add(done)
+            parent[done] = node
             done = node
-        if meet < 0:
-            roots.append(done)
-        else:
+        if meet >= 0:
             if not open_ or open_[-1][0] < meet:
-                open_.append((meet, PhyloNode(float(ranks[meet]))))
-            open_[-1][1].add(done)
-        done = leaf
-    return roots
+                open_.append((meet, len(parent)))
+                parent.append(-1)
+                time.append(float(ranks[meet]))
+                label.append(None)
+                tag.append(None)
+            parent[done] = open_[-1][1]
+    return PhyloTree.from_parents(parent, time, label, tag)
 
 
 def rank_intersection(record_sets: Sequence[RecordSet]) -> tuple[list[int], float]:
@@ -113,11 +120,12 @@ def rank_intersection(record_sets: Sequence[RecordSet]) -> tuple[list[int], floa
 
 def stitch_roots(tree: PhyloTree) -> PhyloTree:
     """Join a multi-root forest under one synthetic root at origin 0, in place."""
-    if len(tree.roots) > 1:
-        root = PhyloNode(0.0)
-        for r in tree.roots:
-            root.add(r)
-        tree.roots = [root]
+    if tree.n_roots > 1:
+        # Every position moves up one, and the old roots' -1 becomes 0.
+        tree.parent = [-1] + [p + 1 for p in tree.parent]
+        tree.origin_time = [0.0] + tree.origin_time
+        tree.label = [None] + tree.label
+        tree.founder_tag = [None] + tree.founder_tag
     return tree
 
 

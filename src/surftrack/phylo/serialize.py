@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 
-from .tree import PhyloNode, PhyloTree
+from .tree import PhyloTree
 
 
 class NewickParseError(ValueError):
@@ -48,60 +49,66 @@ def _quote_label(label: str) -> str:
 
 def export_newick(tree: PhyloTree) -> str:
     """Serialize a forest as newline-separated Newick, one tree per line."""
-    lines = []
-    for root in tree.roots:
-        parts: list[str] = []
-        _write_node(root, None, parts)
-        parts.append(";")
-        lines.append("".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
+    parent, time, label = tree.parent, tree.origin_time, tree.label
 
+    def tail(j: int) -> str:
+        name = "" if label[j] is None else _quote_label(label[j])
+        base = time[parent[j]] if parent[j] >= 0 else 0.0
+        return name + ":" + format_time(time[j] - base)
 
-def _write_node(node: PhyloNode, parent: PhyloNode | None, out: list[str]) -> None:
-    # Post-order via explicit frames; trees from long simulations can be
-    # deeper than the default recursion limit.
-    stack: list[tuple[PhyloNode, PhyloNode | None, int]] = [(node, parent, 0)]
-    while stack:
-        n, p, child_idx = stack.pop()
-        if n.children:
-            if child_idx == 0:
-                out.append("(")
-            if child_idx < len(n.children):
-                if child_idx:
-                    out.append(",")
-                stack.append((n, p, child_idx + 1))
-                stack.append((n.children[child_idx], n, 0))
-                continue
-            out.append(")")
-        if n.label is not None:
-            out.append(_quote_label(n.label))
-        base = p.origin_time if p is not None else 0.0
-        out.append(":" + format_time(n.origin_time - base))
+    out: list[str] = []
+    for i, p in enumerate(parent):
+        if p >= 0 and i != p + 1:  # a later child
+            out.append(",")
+        after = parent[i + 1] if i + 1 < len(parent) else -1
+        if after == i:
+            out.append("(")
+            continue
+        out.append(tail(i))
+        while p != after:  # close the clades this leaf ends
+            out.append(")" + tail(p))
+            p = parent[p]
+        if after < 0:
+            out.append(";\n")
+    return "".join(out)
 
 
 def parse_newick(text: str) -> PhyloTree:
     """Parse one tree per non-blank line into a forest.
 
     Branch lengths are optional (missing means 0).  Origin times are
-    rebuilt by accumulating lengths from each root's own length down.
+    rebuilt by accumulating lengths from each root's own length down;
+    only a root's length may be negative.
     """
-    roots = []
+    tree = PhyloTree([], [], [], [])
     for lineno, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             try:
-                roots.append(_parse_tree(line.strip()))
+                _parse_tree(line.rstrip(), tree)
             except NewickParseError as err:
                 raise NewickParseError(f"line {lineno}: {err}") from None
-    return PhyloTree(roots)
+    return tree
 
 
-def _parse_tree(s: str) -> PhyloNode:
+def _parse_tree(s: str, tree: PhyloTree) -> None:
+    """Append one tree's nodes, which Newick names in preorder, to ``tree``."""
     if not s.endswith(";"):
         raise NewickParseError("missing trailing ';'")
     s = s[:-1]
-    root = PhyloNode(0.0)
-    cur = root
-    stack: list[PhyloNode] = []
+    parent, time, label, tag = tree.parent, tree.origin_time, tree.label, tree.founder_tag
+    first = len(parent)
+    length_at: dict[int, int] = {}  # node -> column of its length
+
+    def new(up: int) -> int:
+        parent.append(up)
+        time.append(0.0)  # edge length until the pass below
+        label.append(None)
+        tag.append(None)
+        return len(parent) - 1
+
+    cur = new(-1)
+    stage = 0  # what cur has so far: 0 nothing, 1 a clade, 2 a label, 3 a length
+    stack: list[int] = []
     i = 0
     n = len(s)
     while i < n:
@@ -109,65 +116,81 @@ def _parse_tree(s: str) -> PhyloNode:
         if c.isspace():
             i += 1
         elif c == "(":
-            child = cur.add(PhyloNode(0.0))
+            if stage:
+                raise NewickParseError(f"'(' after a clade, label or length at column {i + 1}")
             stack.append(cur)
-            cur = child
+            cur = new(cur)
             i += 1
         elif c == ",":
             if not stack:
                 raise NewickParseError(f"',' outside parentheses at column {i + 1}")
-            cur = stack[-1].add(PhyloNode(0.0))
+            cur = new(stack[-1])
+            stage = 0
             i += 1
         elif c == ")":
             if not stack:
                 raise NewickParseError(f"unbalanced ')' at column {i + 1}")
             cur = stack.pop()
+            stage = 1
             i += 1
         elif c == ":":
+            if stage == 3:
+                raise NewickParseError(f"second branch length at column {i + 1}")
             i += 1
             j = i
             while j < n and (s[j].isdigit() or s[j] in ".+-eE"):
                 j += 1
             try:
-                cur.origin_time = float(s[i:j])  # edge length until the pass below
+                length = float(s[i:j])
             except ValueError:
                 raise NewickParseError(f"bad branch length at column {i + 1}") from None
+            if not math.isfinite(length):
+                raise NewickParseError(f"non-finite branch length at column {i + 1}")
+            if length < 0 and parent[cur] >= 0:
+                raise NewickParseError(f"negative branch length at column {i + 1}")
+            time[cur] = length
+            length_at[cur] = i + 1
+            stage = 3
             i = j
-        elif c == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise NewickParseError("unterminated quoted label")
-                if s[j] == "'":
-                    if j + 1 < n and s[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(s[j])
-                j += 1
-            cur.label = "".join(buf)
-            i = j + 1
         else:
-            j = i
-            while j < n and s[j] not in "(),:;'" and not s[j].isspace():
+            if c == "'":
+                j = i + 1
+                buf = []
+                while True:
+                    if j >= n:
+                        raise NewickParseError("unterminated quoted label")
+                    if s[j] == "'":
+                        if j + 1 < n and s[j + 1] == "'":
+                            buf.append("'")
+                            j += 2
+                            continue
+                        break
+                    buf.append(s[j])
+                    j += 1
+                name = "".join(buf)
                 j += 1
-            if j == i:
-                raise NewickParseError(f"unexpected character {c!r} at column {i + 1}")
-            cur.label = s[i:j]
+            else:
+                j = i
+                while j < n and s[j] not in "(),:;'" and not s[j].isspace():
+                    j += 1
+                if j == i:
+                    raise NewickParseError(f"unexpected character {c!r} at column {i + 1}")
+                name = s[i:j]
+            if stage >= 2:
+                what = "second label" if stage == 2 else "label after a branch length"
+                raise NewickParseError(f"{what} at column {i + 1}")
+            label[cur] = name
+            stage = 2
             i = j
     if stack:
         raise NewickParseError("unbalanced '(': tree ended inside a clade")
 
     # Each node holds its edge length; accumulate from the root down.
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        for child in node.children:
-            child.origin_time += node.origin_time
-            todo.append(child)
-    return root
+    for k in range(first + 1, len(parent)):
+        time[k] += time[parent[k]]
+    if max(time[first:]) == math.inf:
+        k = time.index(math.inf, first)
+        raise NewickParseError(f"origin time overflows at column {length_at[k]}")
 
 
 ALIFE_COLUMNS = ("id", "ancestor_list", "origin_time", "taxon_label", "founder_tag")
@@ -178,15 +201,15 @@ def export_alife_csv(tree: PhyloTree) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ALIFE_COLUMNS)
-    order, parents = tree.preorder()
-    for i, (node, up) in enumerate(zip(order, parents)):
+    columns = zip(tree.parent, tree.origin_time, tree.label, tree.founder_tag)
+    for i, (up, origin, label, tag) in enumerate(columns):
         writer.writerow(
             (
                 i,
                 "[none]" if up < 0 else f"[{up}]",
-                format_time(node.origin_time),
-                node.label or "",
-                "" if node.founder_tag is None else node.founder_tag,
+                format_time(origin),
+                label or "",
+                "" if tag is None else tag,
             )
         )
     return buf.getvalue()
@@ -209,9 +232,8 @@ def import_alife_csv(text: str) -> PhyloTree:
         if required not in cols:
             raise AlifeCsvError(f"row 1: missing required column {required!r}")
 
-    nodes: dict[int, PhyloNode] = {}
-    parent_of: dict[int, int | None] = {}
-    rows: list[tuple[int, int]] = []
+    at: dict[int, int] = {}  # id -> position, in file order
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
     for rownum, row in enumerate(reader, start=2):
         if not row or not any(cell.strip() for cell in row):
             continue
@@ -219,7 +241,7 @@ def import_alife_csv(text: str) -> PhyloTree:
             node_id = int(row[cols["id"]])
         except (ValueError, IndexError):
             raise AlifeCsvError(f"row {rownum}: bad id") from None
-        if node_id in nodes:
+        if node_id in at:
             raise AlifeCsvError(f"row {rownum}: duplicate id {node_id}")
         try:
             ancestors = row[cols["ancestor_list"]]
@@ -234,6 +256,8 @@ def import_alife_csv(text: str) -> PhyloTree:
             origin = float(row[cols["origin_time"]])
         except (ValueError, IndexError):
             raise AlifeCsvError(f"row {rownum}: bad origin_time") from None
+        if not math.isfinite(origin):
+            raise AlifeCsvError(f"row {rownum}: non-finite origin_time {origin!r}")
         label = None
         if "taxon_label" in cols and len(row) > cols["taxon_label"]:
             label = row[cols["taxon_label"]].strip() or None
@@ -245,31 +269,35 @@ def import_alife_csv(text: str) -> PhyloTree:
                     tag = int(raw)
                 except ValueError:
                     raise AlifeCsvError(f"row {rownum}: bad founder_tag {raw!r}") from None
-        nodes[node_id] = PhyloNode(origin, label=label, founder_tag=tag)
-        parent_of[node_id] = None if m.group(1) == "none" else int(m.group(1))
-        rows.append((rownum, node_id))
+        up_id = None if m.group(1) == "none" else int(m.group(1))
+        at[node_id] = len(at)
+        for column, value in zip(columns, (rownum, node_id, up_id, origin, label, tag)):
+            column.append(value)
 
-    roots = []
-    for rownum, node_id in rows:
-        pid = parent_of[node_id]
-        if pid is None:
-            roots.append(nodes[node_id])
-        elif pid not in nodes:
-            raise AlifeCsvError(f"row {rownum}: ancestor {pid} not defined anywhere")
-        else:
-            nodes[pid].add(nodes[node_id])
+    rownums, ids, up_ids, times, labels, tags = columns
+    parent: list[int] = []
+    for k, pid in enumerate(up_ids):
+        if pid is not None and pid not in at:
+            raise AlifeCsvError(f"row {rownums[k]}: ancestor {pid} not defined anywhere")
+        up = -1 if pid is None else at[pid]
+        if up >= 0 and times[k] < times[up]:
+            raise AlifeCsvError(
+                f"row {rownums[k]}: origin_time {format_time(times[k])} precedes "
+                f"its ancestor's {format_time(times[up])}"
+            )
+        parent.append(up)
 
     # A component with no [none] row is a parent cycle.
-    state: dict[int, int] = {}
-    for rownum, node_id in rows:
+    state = [0] * len(parent)
+    for k in range(len(parent)):
         path = []
-        cur: int | None = node_id
-        while cur is not None and state.get(cur, 0) == 0:
+        cur = k
+        while cur >= 0 and state[cur] == 0:
             path.append(cur)
             state[cur] = 1
-            cur = parent_of[cur]
-        if cur is not None and state[cur] == 1:
-            raise AlifeCsvError(f"row {rownum}: ancestry cycle through id {cur}")
-        for p in path:
-            state[p] = 2
-    return PhyloTree(roots)
+            cur = parent[cur]
+        if cur >= 0 and state[cur] == 1:
+            raise AlifeCsvError(f"row {rownums[k]}: ancestry cycle through id {ids[cur]}")
+        for q in path:
+            state[q] = 2
+    return PhyloTree.from_parents(parent, times, labels, tags)

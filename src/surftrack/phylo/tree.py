@@ -1,136 +1,101 @@
-"""Rooted-forest structure shared by reconstruction, metrics, and IO."""
+"""Rooted forests as preorder columns: each node's ``parent`` position
+(-1 for a root), ``origin_time`` (a reconstructed node's last shared
+rank, a leaf's deposit counter, or a tracked node's birth generation),
+``label`` and ``founder_tag``.  Every subtree is one run, so a node is a
+leaf exactly when the next position is not its child."""
 
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Sequence
 
 
-class PhyloNode:
-    """One node of a phylogeny.
-
-    ``origin_time`` is the node's position on the time axis: for
-    reconstructed trees, the differentia rank where its subtree's
-    lineages were last seen together (leaves carry their deposit
-    counter); for tracked trees, the birth generation.
-    """
-
-    __slots__ = ("origin_time", "label", "founder_tag", "children")
-
-    def __init__(
-        self,
-        origin_time: float,
-        label: str | None = None,
-        founder_tag: int | None = None,
-    ) -> None:
-        self.origin_time = origin_time
-        self.label = label
-        self.founder_tag = founder_tag
-        self.children: list[PhyloNode] = []
-
-    def add(self, child: PhyloNode) -> PhyloNode:
-        self.children.append(child)
-        return child
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = f" tag={self.founder_tag}" if self.founder_tag is not None else ""
-        name = self.label or "<internal>"
-        return f"PhyloNode({name} @ {self.origin_time}{tag}, {len(self.children)} children)"
+class Leaf(NamedTuple):
+    origin_time: float
+    label: str | None
+    founder_tag: int | None
 
 
+@dataclass
 class PhyloTree:
-    """A forest of :class:`PhyloNode` roots (often just one)."""
+    """A forest as preorder columns; :meth:`from_parents` builds one
+    from nodes in any other order."""
 
-    def __init__(self, roots: list[PhyloNode] | None = None) -> None:
-        self.roots: list[PhyloNode] = roots if roots is not None else []
+    parent: list[int]
+    origin_time: list[float]
+    label: list[str | None]
+    founder_tag: list[int | None]
 
-    def nodes(self) -> Iterator[PhyloNode]:
-        """All nodes, preorder, root by root."""
-        for root in self.roots:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                yield node
-                stack.extend(reversed(node.children))
+    @classmethod
+    def from_parents(cls, parent: Sequence[int], *columns: Sequence) -> PhyloTree:
+        """Lay nodes out in preorder.  ``parent`` holds positions in the
+        given order (-1 for a root), and ``columns`` the origin times,
+        labels and founder tags in that order, which may be any order that
+        keeps siblings, roots included, in order."""
+        kids = children(parent)
+        order: list[int] = []
+        at = [-1] * (len(parent) + 1)  # new positions; the last entry keeps -1 as -1
+        stack = kids[-1][::-1]
+        while stack:
+            i = stack.pop()
+            at[i] = len(order)
+            order.append(i)
+            stack.extend(reversed(kids[i]))
+        if len(order) != len(parent):
+            raise ValueError("parents form a cycle")
+        return cls([at[parent[i]] for i in order], *([c[i] for i in order] for c in columns))
 
-    def leaves(self) -> Iterator[PhyloNode]:
-        return (n for n in self.nodes() if n.is_leaf)
+    def leaf_positions(self) -> list[int]:
+        """Positions of the leaves, ascending."""
+        after = self.parent[1:] + [-1]
+        return [i for i, p in zip(range(len(self.parent)), after) if p != i]
+
+    def leaves(self) -> Iterator[Leaf]:
+        for i in self.leaf_positions():
+            yield Leaf(self.origin_time[i], self.label[i], self.founder_tag[i])
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for _ in self.leaves())
+        return len(self.leaf_positions())
 
     @property
     def n_roots(self) -> int:
-        return len(self.roots)
-
-    def preorder(self) -> tuple[list[PhyloNode], list[int]]:
-        """All nodes in :meth:`nodes` order, and each node's parent
-        position in that list (-1 for a root)."""
-        order: list[PhyloNode] = []
-        parents: list[int] = []
-        stack = [(root, -1) for root in reversed(self.roots)]
-        while stack:
-            node, up = stack.pop()
-            here = len(order)
-            order.append(node)
-            parents.append(up)
-            stack.extend((c, here) for c in reversed(node.children))
-        return order, parents
+        return self.parent.count(-1)
 
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counted in edges."""
-        return max(depths(self.preorder()[1]), default=0)
+        return max(depths(self.parent), default=0)
 
     def validate(self) -> None:
-        """Check that no node is reachable twice and that no child
-        precedes its parent in time; raises ValueError."""
-        seen: set[int] = set()
-        for node in self.nodes():
-            if id(node) in seen:
-                raise ValueError("node reachable twice; not a forest")
-            seen.add(id(node))
-            for child in node.children:
-                if child.origin_time < node.origin_time:
-                    raise ValueError(
-                        f"child origin {child.origin_time} precedes "
-                        f"parent origin {node.origin_time}"
-                    )
+        """Check the preorder layout (each parent before its children,
+        each subtree one run) and that no child precedes its parent in
+        time; raises ValueError."""
+        path: list[int] = []  # ancestors-or-self of the previous node
+        for i, p in enumerate(self.parent):
+            while path and path[-1] != p:
+                path.pop()
+            if p != -1 and not path:
+                raise ValueError(f"node {i}: parent {p} breaks the preorder layout")
+            if p >= 0 and self.origin_time[i] < self.origin_time[p]:
+                raise ValueError(
+                    f"node {i}: origin {self.origin_time[i]} precedes "
+                    f"parent origin {self.origin_time[p]}"
+                )
+            path.append(i)
 
 
-def depths(parents: list[int]) -> list[int]:
-    """Edges from the root to each node of a :meth:`PhyloTree.preorder` index."""
+def children(parent: Sequence[int]) -> list[list[int]]:
+    """Each node's children in position order; one extra last entry,
+    which ``parent`` reaches as -1, lists the roots."""
+    kids: list[list[int]] = [[] for _ in range(len(parent) + 1)]
+    for i, p in enumerate(parent):
+        kids[p].append(i)
+    return kids
+
+
+def depths(parent: list[int]) -> list[int]:
+    """Edges from the root to each node of a preorder ``parent`` column."""
     out: list[int] = []
-    for up in parents:
+    for up in parent:
         out.append(out[up] + 1 if up >= 0 else 0)
     return out
-
-
-def collapse_unifurcations(tree: PhyloTree) -> PhyloTree:
-    """Splice out every internal node with exactly one child, in place.
-
-    Chains collapse so each surviving internal node is a branching
-    point; since times are monotone along any chain, the survivor is
-    the chain's deepest (latest) node.  Roots with a single child are
-    replaced by their eventual branching descendant (or lone leaf).
-    """
-    new_roots = []
-    for root in tree.roots:
-        while len(root.children) == 1:
-            root = root.children[0]
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            squashed = []
-            for child in node.children:
-                while len(child.children) == 1:
-                    child = child.children[0]
-                squashed.append(child)
-                stack.append(child)
-            node.children = squashed
-        new_roots.append(root)
-    tree.roots = new_roots
-    return tree

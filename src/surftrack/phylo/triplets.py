@@ -34,20 +34,20 @@ class TripletScore:
 
 
 class _Index:
-    """Leaf positions in the tree's preorder index, with each node's
-    parent position and depth there; forests join at a virtual root."""
+    """Leaf positions in the tree, with each node's parent position and
+    depth; forests join at a virtual root."""
 
     def __init__(self, tree: PhyloTree) -> None:
-        order, self.parent = tree.preorder()
+        self.parent = tree.parent
         self.depth = depths(self.parent)
         self.leaf: dict[str, int] = {}
-        for i, node in enumerate(order):
-            if node.is_leaf:
-                if node.label is None:
-                    raise ValueError("triplet scoring needs labeled leaves")
-                if node.label in self.leaf:
-                    raise ValueError(f"duplicate leaf label {node.label!r}")
-                self.leaf[node.label] = i
+        for i in tree.leaf_positions():
+            label = tree.label[i]
+            if label is None:
+                raise ValueError("triplet scoring needs labeled leaves")
+            if label in self.leaf:
+                raise ValueError(f"duplicate leaf label {label!r}")
+            self.leaf[label] = i
 
     def lca_depth(self, a: int, b: int) -> int:
         """Depth of the lowest common ancestor; -1 across roots."""

@@ -54,7 +54,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from ..phylo.tree import PhyloNode, PhyloTree
+from ..phylo.tree import PhyloTree
 
 NO_PARENT = -1
 MAX_ROWS = 2**31 - 1  # rows held at once; positions are int32
@@ -169,10 +169,6 @@ class LineageTracker:
         ids = np.arange(self._next_id, self._next_id + m, dtype=np.int64)
         self._next_id += m
         return ids
-
-    def record_birth(self, parent_id: int, rank: int) -> int:
-        """Scalar convenience wrapper around :meth:`record_cohort`."""
-        return int(self.record_cohort(np.array([parent_id]), np.array([rank]))[0])
 
     def _positions(self, ids: np.ndarray) -> np.ndarray:
         """Row positions of ``ids``; KeyError for any id not held."""
@@ -309,24 +305,19 @@ class LineageTracker:
         time = self._rank[rows].astype(np.float64)
         fork = kids + leaves >= 2  # rows that stay nodes
         ends = np.flatnonzero(fork)
-        node = {t: PhyloNode(r) for t, r in zip(top[ends].tolist(), time[ends].tolist())}
-        forked = []  # sample leaves of forking rows, with their row's chain
-        for k, (t, r, on_fork, label) in enumerate(
-            zip(top[at].tolist(), time[at].tolist(), fork[at].tolist(), labels)
-        ):
-            leaf = PhyloNode(r, label=label, founder_tag=None if tags is None else tags[k])
-            if on_fork:
-                forked.append((t, leaf))
-            else:
-                node[t] = leaf  # the chain ends in this lone leaf
-        roots = []
-        chains = np.array(sorted(node), dtype=np.int64)
-        above = parents[chains]
-        for t, p, up in zip(chains.tolist(), above.tolist(), top[above].tolist()):
-            if p == NO_PARENT:
-                roots.append(node[t])
-            else:
-                node[up].add(node[t])
-        for t, leaf in forked:
-            node[t].add(leaf)
-        return PhyloTree(roots)
+        lone = np.flatnonzero(~fork[at])  # samples that end a chain alone
+        forked = np.flatnonzero(fork[at])  # sample leaves of forking rows
+        # One node per chain, in order of the chain tops, then the forked leaves.
+        last = np.concatenate([ends, at[lone]])  # each chain's node row
+        order = np.argsort(top[last])
+        who = np.concatenate([np.full(ends.size, -1), lone])[order]  # its sample, or -1
+        chains = top[last[order]]
+        anchor = np.concatenate([parents[chains], at[forked]])  # a row on the parent's chain
+        up = np.where(anchor == NO_PARENT, -1, np.searchsorted(chains, top[anchor]))
+        who = np.concatenate([who, forked]).tolist()
+        return PhyloTree.from_parents(
+            up.tolist(),
+            time[np.concatenate([last[order], at[forked]])].tolist(),
+            [None if k < 0 else labels[k] for k in who],
+            [None if k < 0 or tags is None else tags[k] for k in who],
+        )

@@ -1,48 +1,70 @@
-"""Small tree builders shared across test modules."""
+"""Small tree builders and references shared across test modules."""
 
 from __future__ import annotations
 
 import random
 
-from surftrack.phylo.tree import PhyloNode, PhyloTree
+from surftrack.phylo.tree import PhyloTree, children
 
 
-def leaf(origin: float, label: str | None) -> PhyloNode:
-    return PhyloNode(origin, label=label)
+def build(*nodes: tuple[int, float, str | None]) -> PhyloTree:
+    """A tree from ``(parent position, origin, label)`` triples, in any
+    order that keeps siblings in order; no founder tags."""
+    parent = [p for p, _, _ in nodes]
+    return PhyloTree.from_parents(
+        parent, [t for _, t, _ in nodes], [x for _, _, x in nodes], [None] * len(nodes)
+    )
+
+
+def leaf(origin: float, label: str | None) -> PhyloTree:
+    return build((-1, origin, label))
+
+
+def forest(*trees: PhyloTree) -> PhyloTree:
+    """The trees side by side, as one forest."""
+    out = PhyloTree([], [], [], [])
+    for tree in trees:
+        base = len(out.parent)
+        out.parent += [p + base if p >= 0 else -1 for p in tree.parent]
+        out.origin_time += tree.origin_time
+        out.label += tree.label
+        out.founder_tag += tree.founder_tag
+    return out
 
 
 def cherry(a: str = "A", b: str = "B", split: float = 0.0, tips: float = 10.0) -> PhyloTree:
-    root = PhyloNode(split)
-    root.add(leaf(tips, a))
-    root.add(leaf(tips, b))
-    return PhyloTree([root])
+    return build((-1, split, None), (0, tips, a), (0, tips, b))
 
 
 def caterpillar(n: int, step: float = 1.0) -> PhyloTree:
     """Maximally unbalanced: each internal node has one leaf child."""
-    root = PhyloNode(0.0)
-    node = root
+    nodes = [(-1, 0.0, None)]
+    node = 0
     for i in range(n - 1):
-        node.add(leaf(n * step, f"t{i}"))
+        nodes.append((node, n * step, f"t{i}"))
         if i < n - 2:
-            node = node.add(PhyloNode((i + 1) * step))
-    node.add(leaf(n * step, f"t{n - 1}"))
-    return PhyloTree([root])
+            nodes.append((node, (i + 1) * step, None))
+            node = len(nodes) - 1
+    nodes.append((node, n * step, f"t{n - 1}"))
+    return build(*nodes)
 
 
 def balanced(depth: int, step: float = 1.0) -> PhyloTree:
     """Complete binary tree with 2**depth leaves."""
     counter = iter(range(1 << depth))
+    nodes: list[tuple[int, float, str | None]] = []
 
-    def grow(level: int, origin: float) -> PhyloNode:
+    def grow(level: int, origin: float, up: int) -> None:
         if level == depth:
-            return leaf(depth * step, f"t{next(counter)}")
-        node = PhyloNode(origin)
-        node.add(grow(level + 1, origin + step))
-        node.add(grow(level + 1, origin + step))
-        return node
+            nodes.append((up, depth * step, f"t{next(counter)}"))
+            return
+        nodes.append((up, origin, None))
+        here = len(nodes) - 1
+        grow(level + 1, origin + step, here)
+        grow(level + 1, origin + step, here)
 
-    return PhyloTree([grow(0, 0.0)])
+    grow(0, 0.0, -1)
+    return build(*nodes)
 
 
 def random_tree(seed: int, max_leaves: int = 64, forest: bool = False) -> PhyloTree:
@@ -56,61 +78,79 @@ def random_tree(seed: int, max_leaves: int = 64, forest: bool = False) -> PhyloT
     n = rng.randint(2, max_leaves)
     n_roots = min(rng.randint(2, 4), n // 2) if forest and n >= 4 else 1
 
-    up: dict[int, PhyloNode] = {}  # id of each non-root node -> its parent
+    parent: list[int] = []
+    time: list[float] = []
+    kids: list[list[int]] = []
 
-    def sprout(node: PhyloNode) -> None:
+    def node(up: int, origin: float) -> int:
+        parent.append(up)
+        time.append(origin)
+        kids.append([])
+        if up >= 0:
+            kids[up].append(len(parent) - 1)
+        return len(parent) - 1
+
+    def sprout(x: int) -> None:
         for _ in range(2):
-            up[id(node.add(leaf(0.0, None)))] = node
+            node(x, 0.0)
 
-    roots = [PhyloNode(float(rng.randint(0, 3))) for _ in range(n_roots)]
+    roots = [node(-1, float(rng.randint(0, 3))) for _ in range(n_roots)]
     for root in roots:
         sprout(root)
     made = 2 * n_roots
     while made < n:
-        victim = rng.choice([x for r in roots for x in _leaves_under(r)])
-        victim.origin_time = up[id(victim)].origin_time + rng.randint(1, 4)
+        victim = rng.choice([x for r in roots for x in _leaves_under(kids, r)])
+        time[victim] = time[parent[victim]] + rng.randint(1, 4)
         sprout(victim)
         made += 1
 
-    idx = 0
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                node.origin_time = up[id(node)].origin_time + rng.randint(1, 6)
-                node.label = f"t{idx}"
-                idx += 1
-            else:
-                stack.extend(node.children)
-    return PhyloTree(roots)
+    label: list[str | None] = [None] * len(parent)
+    for idx, x in enumerate(x for r in roots for x in _leaves_under(kids, r)):
+        time[x] = time[parent[x]] + rng.randint(1, 6)
+        label[x] = f"t{idx}"
+    return PhyloTree.from_parents(parent, time, label, [None] * len(parent))
+
+
+def _leaves_under(kids: list[list[int]], root: int):
+    """Leaves below ``root``, last child first."""
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if kids[x]:
+            stack.extend(kids[x])
+        else:
+            yield x
 
 
 def canon(tree: PhyloTree):
     """Order-insensitive structural fingerprint of a forest."""
+    kids = children(tree.parent)
 
-    def node(n):
+    def node(i):
         # key=repr: labels/tags mix str and None, which don't order natively
-        kids = tuple(sorted((node(c) for c in n.children), key=repr))
-        return (n.origin_time, n.label, n.founder_tag, kids)
+        sub = tuple(sorted((node(c) for c in kids[i]), key=repr))
+        return (tree.origin_time[i], tree.label[i], tree.founder_tag[i], sub)
 
-    return tuple(sorted((node(r) for r in tree.roots), key=repr))
-
-
-def canon_ordered(tree: PhyloTree):
-    """Like canon but keeps child order, for formats that preserve it."""
-
-    def node(n):
-        return (n.origin_time, n.label, n.founder_tag, tuple(node(c) for c in n.children))
-
-    return tuple(node(r) for r in tree.roots)
+    return tuple(sorted((node(r) for r in kids[-1]), key=repr))
 
 
-def _leaves_under(node: PhyloNode):
-    stack = [node]
-    while stack:
-        x = stack.pop()
-        if x.is_leaf:
-            yield x
-        else:
-            stack.extend(x.children)
+def collapse_unifurcations(tree: PhyloTree) -> PhyloTree:
+    """The tree with every node that has exactly one child spliced out.
+
+    Chains collapse so each surviving internal node is a branching
+    point; since times are monotone along any chain, the survivor is
+    the chain's deepest (latest) node.  A root with a single child is
+    replaced by its eventual branching descendant (or lone leaf).
+    """
+    kids = children(tree.parent)
+    kept = [i for i in range(len(tree.parent)) if len(kids[i]) != 1]
+    up: list[int] = []  # nearest kept proper ancestor, -1 for none
+    for p in tree.parent:
+        up.append(p if p < 0 or len(kids[p]) != 1 else up[p])
+    at = {old: new for new, old in enumerate(kept)}
+    return PhyloTree(
+        [at[up[i]] if up[i] >= 0 else -1 for i in kept],
+        [tree.origin_time[i] for i in kept],
+        [tree.label[i] for i in kept],
+        [tree.founder_tag[i] for i in kept],
+    )

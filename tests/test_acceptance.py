@@ -33,7 +33,7 @@ from surftrack.surface.annotation import SurfaceAnnotation
 from surftrack.surface.genome import GenomeFields, GenomeLayout, pack_genome, unpack_genome
 from surftrack.surface.sites import POLICIES
 
-from _trees import balanced, canon, canon_ordered, caterpillar, random_tree
+from _trees import balanced, canon, caterpillar, random_tree
 
 SLOT_COUNTS = (8, 16, 32, 64)
 
@@ -205,23 +205,24 @@ def test_07_equal_seeds_give_byte_identical_artifacts(tmp_path):
 
 def bfs_pairwise_distances(tree):
     adjacency = {}
-    for node in tree.nodes():
-        for child in node.children:
-            adjacency.setdefault(id(node), []).append(child)
-            adjacency.setdefault(id(child), []).append(node)
-    leaves = [n for n in tree.nodes() if n.is_leaf]
+    for child, parent in enumerate(tree.parent):
+        if parent >= 0:
+            adjacency.setdefault(parent, []).append(child)
+            adjacency.setdefault(child, []).append(parent)
+    has_children = set(tree.parent)
+    leaves = [i for i in range(len(tree.parent)) if i not in has_children]
     out = []
     for i, a in enumerate(leaves):
-        dist = {id(a): 0}
+        dist = {a: 0}
         q = deque([a])
         while q:
             x = q.popleft()
-            for y in adjacency.get(id(x), []):
-                if id(y) not in dist:
-                    dist[id(y)] = dist[id(x)] + 1
+            for y in adjacency.get(x, []):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
                     q.append(y)
         for b in leaves[i + 1 :]:
-            out.append(dist[id(b)])
+            out.append(dist[b])
     return out
 
 
@@ -266,11 +267,10 @@ def test_09_genomes_and_trees_round_trip_exactly():
         assert unpack_genome(layout, pack_genome(layout, fields)) == fields
     for seed in range(100):
         tree = random_tree(seed, max_leaves=50, forest=seed % 3 == 0)
-        assert canon_ordered(parse_newick(export_newick(tree))) == canon_ordered(tree)
+        assert parse_newick(export_newick(tree)) == tree
         # founder tags only travel in the CSV dialect
-        for i, node in enumerate(tree.nodes()):
-            if i % 5 == 0:
-                node.founder_tag = i
+        for i in range(0, len(tree.parent), 5):
+            tree.founder_tag[i] = i
         assert canon(import_alife_csv(export_alife_csv(tree))) == canon(tree)
 
 

@@ -268,7 +268,7 @@ def test_reconstruct_reports_the_rank_intersection(tmp_path, capsys):
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
         if not extra:
-            roots = len(parse_newick(out.read_text()).roots)
+            roots = parse_newick(out.read_text()).n_roots
         assert lines[-1] == (
             f"rank intersection kept {len(shared)} of {mean:.1f} ranks per genome (mean); "
             f"{roots} root(s) before any stitch"
@@ -437,7 +437,7 @@ def test_stitch_flag_forces_a_single_root(tmp_path):
         ]
     )
     assert rc == 0
-    assert len(parse_newick((tmp_path / "tree.newick").read_text()).roots) == 1
+    assert parse_newick((tmp_path / "tree.newick").read_text()).n_roots == 1
 
 
 # -- metrics and compare -------------------------------------------------------

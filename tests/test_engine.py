@@ -577,7 +577,7 @@ def test_records_bracket_true_divergence_in_the_exact_regime(seed):
         )
         if tree.n_roots != 1:
             continue  # unrelated founders: nothing to bracket
-        split_rank = int(tree.roots[0].origin_time)
+        split_rank = int(tree.origin_time[0])
         checked += 1
         est = estimate_mrca_range(records_of(a, cfg), records_of(b, cfg))
         if est != (split_rank, split_rank + 1):

@@ -25,7 +25,9 @@ rows: ``build_forest``'s Newick and ALife CSV with and without
 ``stitch``, its ``max_depth``, the ``repr`` of every metric that
 applies, and for tracked cases the triplet score against the tracker
 tree.  Its hashes were recorded with the trie-based builder that
-preceded the sorted-row one, so they check that the two agree.
+preceded the sorted-row one, so they check that the two agree.  Every
+tree these cases build, tracked or reconstructed, must also pass
+``PhyloTree.validate``.
 
 To regenerate after a deliberate protocol change, run this module as a
 script with the package on the path; it prints the new tables.
@@ -155,11 +157,13 @@ def case_genomes_csv(config: GridConfig, asynchronous: bool = False):
 
 
 def tracker_tree(grid, samples):
-    return grid.tracker.to_tree(
+    tree = grid.tracker.to_tree(
         np.array([s.tracker_id for s in samples], dtype=np.int64),
         [s.label for s in samples],
         [s.fields.founder_tag for s in samples],
     )
+    tree.validate()
+    return tree
 
 
 def artifact_hashes(config: GridConfig, asynchronous: bool = False) -> dict[str, str]:
@@ -194,6 +198,7 @@ def reconstructed_hash(config: GridConfig, asynchronous: bool = False) -> str:
     parts = []
     for stitch in (False, True):
         tree = build_forest(entries, stitch=stitch)
+        tree.validate()
         parts += [export_newick(tree), export_alife_csv(tree), f"{tree.max_depth()}\n"]
         for metric, fn in METRICS.items():
             if tree.n_roots == 1 or metric not in ("spd", "mpd"):

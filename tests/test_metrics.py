@@ -10,51 +10,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surftrack.phylo import metrics as M
-from surftrack.phylo.serialize import export_newick  # noqa: F401  (debug aid)
-from _trees import balanced, caterpillar, cherry, random_tree
+from surftrack.phylo.serialize import parse_newick
+from _trees import balanced, build, caterpillar, cherry, forest, random_tree
 
 
 # ---- independent references, deliberately dumb ----
 
 
-def _edges(tree):
-    for node in tree.nodes():
-        for child in node.children:
-            yield node, child
-
-
 def _bfs_pairwise_distances(tree):
     """Edge-count distance between all leaf pairs via per-leaf BFS."""
     adjacency = {}
-    for parent, child in _edges(tree):
-        adjacency.setdefault(id(parent), []).append(child)
-        adjacency.setdefault(id(child), []).append(parent)
-    by_id = {id(n): n for n in tree.nodes()}
-    leaves = [n for n in tree.nodes() if n.is_leaf]
+    for child, parent in enumerate(tree.parent):
+        if parent >= 0:
+            adjacency.setdefault(parent, []).append(child)
+            adjacency.setdefault(child, []).append(parent)
+    has_children = set(tree.parent)
+    leaves = [i for i in range(len(tree.parent)) if i not in has_children]
     out = []
     for i, a in enumerate(leaves):
-        dist = {id(a): 0}
+        dist = {a: 0}
         q = deque([a])
         while q:
             x = q.popleft()
-            for y in adjacency.get(id(x), []):
-                if id(y) not in dist:
-                    dist[id(y)] = dist[id(x)] + 1
+            for y in adjacency.get(x, []):
+                if y not in dist:
+                    dist[y] = dist[x] + 1
                     q.append(y)
         for b in leaves[i + 1 :]:
-            out.append(dist[id(b)])
+            out.append(dist[b])
     return out
 
 
 def _recursive_colless(tree):
     """Same math as the library, different shape: plain recursion, no numpy."""
+    kids = {}
+    for child, parent in enumerate(tree.parent):
+        kids.setdefault(parent, []).append(child)
 
     def visit(node):
-        own = math.log(len(node.children) + math.e)
-        if node.is_leaf:
+        below = kids.get(node, [])
+        own = math.log(len(below) + math.e)
+        if not below:
             return own, 0.0
         sizes, total = [], 0.0
-        for c in node.children:
+        for c in below:
             s, t = visit(c)
             sizes.append(s)
             total += t
@@ -62,7 +61,7 @@ def _recursive_colless(tree):
         total += sum(abs(s - med) for s in sizes) / len(sizes)
         return own + sum(sizes), total
 
-    return sum(visit(r)[1] for r in tree.roots)
+    return sum(visit(r)[1] for r in kids.get(-1, []))
 
 
 def test_sum_branch_length_cherry():
@@ -76,11 +75,7 @@ def test_sum_branch_length_counts_root_stem_as_zero():
 
 
 def test_sum_branch_length_forest_adds_up():
-    a, b = cherry(), cherry("C", "D")
-    from surftrack.phylo.tree import PhyloTree
-
-    forest = PhyloTree(a.roots + b.roots)
-    assert M.sum_branch_length(forest) == 40.0
+    assert M.sum_branch_length(forest(cherry(), cherry("C", "D"))) == 40.0
 
 
 def test_pairwise_distance_cherry():
@@ -89,11 +84,8 @@ def test_pairwise_distance_cherry():
 
 
 def test_pairwise_distance_requires_single_root():
-    from surftrack.phylo.tree import PhyloTree
-
-    forest = PhyloTree(cherry().roots + cherry("C", "D").roots)
     with pytest.raises(ValueError):
-        M.sum_pairwise_distance(forest)
+        M.sum_pairwise_distance(forest(cherry(), cherry("C", "D")))
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,15 +124,21 @@ def test_evolutionary_distinctness_cherry_split():
 
 def test_ed_divides_shared_stem():
     # ((A:5,B:5):5) style: stem length 5 shared by two leaves
-    from surftrack.phylo.tree import PhyloNode, PhyloTree
-
-    root = PhyloNode(0.0)
-    mid = root.add(PhyloNode(5.0))
-    mid.add(PhyloNode(10.0, label="A"))
-    mid.add(PhyloNode(10.0, label="B"))
-    ed = M.evolutionary_distinctness(PhyloTree([root]))
+    tree = build((-1, 0.0, None), (0, 5.0, None), (1, 10.0, "A"), (1, 10.0, "B"))
+    ed = M.evolutionary_distinctness(tree)
     assert ed["A"] == 5.0 + 2.5
     assert ed["B"] == 7.5
+
+
+def test_med_averages_over_every_leaf_when_labels_repeat():
+    # leaves A, B, A score 3, 3 and 5
+    tree = parse_newick("((A:1,B:1):4,A:5);")
+    assert M.mean_evolutionary_distinctness(tree) == 11 / 3
+
+
+def test_ed_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="duplicate leaf label 'A'"):
+        M.evolutionary_distinctness(parse_newick("((A:1,B:1):4,A:5);"))
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,9 @@ from surftrack.phylo.reconstruct import (
     stitch_roots,
 )
 from surftrack.phylo.serialize import export_alife_csv
-from surftrack.phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
+from surftrack.phylo.tree import PhyloTree, children
+
+from _trees import collapse_unifurcations
 
 
 def records(pairs, counter):
@@ -32,11 +34,10 @@ def test_identical_annotations_make_a_cherry():
     shared = from_values([7, 3, 9, 200, 41])
     tree = build_forest([(shared, "A"), (shared, "B")])
     assert tree.n_roots == 1
-    root = tree.roots[0]
     assert sorted(leaf.label for leaf in tree.leaves()) == ["A", "B"]
     # lineages agree on every retained rank, so the split can only be
     # pinned to the last shared deposit
-    assert root.origin_time == 4
+    assert tree.origin_time[0] == 4
 
 
 def test_divergence_splits_at_first_mismatch():
@@ -44,7 +45,7 @@ def test_divergence_splits_at_first_mismatch():
     b = from_values([5, 5, 5, 2, 2])
     tree = build_forest([(a, "A"), (b, "B")])
     assert tree.n_roots == 1
-    assert tree.roots[0].origin_time == 2  # last rank they agree on
+    assert tree.origin_time[0] == 2  # last rank they agree on
     assert {leaf.origin_time for leaf in tree.leaves()} == {5}
 
 
@@ -54,12 +55,9 @@ def test_three_way_topology():
     c = from_values([9, 9, 3, 3, 3, 3])
     tree = build_forest([(a, "A"), (b, "B"), (c, "C")])
     assert tree.n_roots == 1
-    [root] = tree.roots
+    kids = children(tree.parent)
     # C splits off first; A and B stay together one rank longer
-    labels_by_child = [
-        sorted(x.label for x in child.children) if child.children else [child.label]
-        for child in root.children
-    ]
+    labels_by_child = [sorted(tree.label[x] for x in kids[c]) or [tree.label[c]] for c in kids[0]]
     assert sorted(map(tuple, labels_by_child)) == [("A", "B"), ("C",)]
 
 
@@ -101,7 +99,7 @@ def test_stitch_joins_roots_at_origin_zero():
     b = from_values([2, 5])
     tree = build_forest([(a, "A"), (b, "B")], stitch=True)
     assert tree.n_roots == 1
-    assert tree.roots[0].origin_time == 0
+    assert tree.origin_time[0] == 0
 
 
 def test_stitch_is_a_noop_on_single_tree():
@@ -173,16 +171,24 @@ def trie_forest(entries):
         node = trie
         for rank in ranks:
             node = node.setdefault(held.mapping()[rank], {})
-        node[label] = PhyloNode(float(held.counter), label, tag)
+        node[label] = (float(held.counter), label, tag)
+    parent, time, label, tag = [], [], [], []  # in preorder
 
-    def grow(node, depth):
-        out = PhyloNode(float(ranks[depth - 1]))  # depth 0: a placeholder, dropped
+    def grow(node, depth, up):
         for key in sorted(node):
             child = node[key]
-            out.add(grow(child, depth + 1) if isinstance(child, dict) else child)
-        return out
+            parent.append(up)
+            if isinstance(child, dict):
+                time.append(float(ranks[depth]))
+                label.append(None)
+                tag.append(None)
+                grow(child, depth + 1, len(parent) - 1)
+            else:
+                for column, value in zip((time, label, tag), child):
+                    column.append(value)
 
-    return collapse_unifurcations(PhyloTree(grow(trie, 0).children))
+    grow(trie, 0, -1)
+    return collapse_unifurcations(PhyloTree(parent, time, label, tag))
 
 
 @settings(max_examples=200, deadline=None)

@@ -16,9 +16,7 @@ from surftrack.phylo.serialize import (
     import_alife_csv,
     parse_newick,
 )
-from surftrack.phylo.tree import PhyloNode, PhyloTree
-
-from _trees import canon, canon_ordered, cherry, leaf, random_tree
+from _trees import build, canon, cherry, forest, leaf, random_tree
 
 
 # --- format_time ---------------------------------------------------------
@@ -51,42 +49,44 @@ def test_newick_root_length_is_its_origin_time():
     t = cherry(split=4.0, tips=9.0)
     assert export_newick(t) == "(A:5,B:5):4;\n"
     back = parse_newick(export_newick(t))
-    assert back.roots[0].origin_time == 4.0
-    assert back.roots[0].children[0].origin_time == 9.0
+    assert back.origin_time[:2] == [4.0, 9.0]
 
 
 def test_newick_forest_is_one_line_per_root():
-    t = PhyloTree([cherry().roots[0], leaf(3.0, "C")])
+    t = forest(cherry(), leaf(3.0, "C"))
     text = export_newick(t)
     assert text == "(A:10,B:10):0;\nC:3;\n"
     back = parse_newick(text)
-    assert len(back.roots) == 2
+    assert back.n_roots == 2
     assert canon(back) == canon(t)
 
 
 def test_newick_missing_lengths_mean_zero():
     t = parse_newick("(A,B);")
-    assert [n.origin_time for n in t.nodes()] == [0.0, 0.0, 0.0]
+    assert t.origin_time == [0.0, 0.0, 0.0]
     assert sorted(l.label for l in t.leaves()) == ["A", "B"]
 
 
 def test_newick_quoting_survives_hostile_labels():
-    root = PhyloNode(0.0)
-    root.add(leaf(1.0, "plain_one"))
-    root.add(leaf(1.0, "has space"))
-    root.add(leaf(2.0, "it's, tricky:(really)"))
-    text = export_newick(PhyloTree([root]))
+    t = build(
+        (-1, 0.0, None),
+        (0, 1.0, "plain_one"),
+        (0, 1.0, "has space"),
+        (0, 2.0, "it's, tricky:(really)"),
+    )
+    text = export_newick(t)
     assert "'has space'" in text
     assert "''" in text  # embedded quote doubled
-    back = parse_newick(text)
-    assert canon_ordered(back) == canon_ordered(PhyloTree([root]))
+    assert parse_newick(text) == t
+
+
+def test_newick_root_alone_may_have_a_negative_length():
+    assert parse_newick("(A:1,B:2):-3;").origin_time == [-3.0, -2.0, -1.0]
 
 
 def test_newick_scientific_notation_length():
     t = parse_newick("(A:1e3,B:2.5e-1):1;")
-    a, b = t.roots[0].children
-    assert a.origin_time == 1001.0
-    assert b.origin_time == 1.25
+    assert t.origin_time == [1.0, 1001.0, 1.25]
 
 
 def test_newick_blank_lines_skipped_and_errors_name_the_line():
@@ -101,8 +101,18 @@ def test_newick_blank_lines_skipped_and_errors_name_the_line():
         ("(A:1,B:1));", "unbalanced ')' at column 10"),
         ("A,B;", "',' outside parentheses"),
         ("(A:x,B:1);", "bad branch length at column 4"),
+        ("  (A:x,B:1);", "bad branch length at column 6"),
         ("('Aoops,B:1);", "unterminated quoted label"),
         ("((A:1,B:1):1;", "unbalanced '('"),
+        ("(A:1)(B:2);", "'(' after a clade, label or length at column 6"),
+        ("A(B);", "'(' after a clade, label or length at column 2"),
+        ("(A,B)C D;", "second label at column 8"),
+        ("(A:1,B:2):3:4;", "second branch length at column 12"),
+        ("(A:1 X,B:2);", "label after a branch length at column 6"),
+        ("(A:1e999,B:1);", "non-finite branch length at column 4"),
+        ("(A:1,B:-1);", "negative branch length at column 8"),
+        ("(A:1e308,B:1):1e308;", "origin time overflows at column 4"),
+        ("A:1;\n(A:1)(B:2);", "line 2: '(' after a clade"),
     ],
 )
 def test_newick_parse_errors(text, fragment):
@@ -114,8 +124,7 @@ def test_newick_parse_errors(text, fragment):
 @given(st.integers(0, 10_000), st.booleans())
 def test_newick_round_trip(seed, forest):
     t = random_tree(seed, max_leaves=40, forest=forest)
-    back = parse_newick(export_newick(t))
-    assert canon_ordered(back) == canon_ordered(t)
+    assert parse_newick(export_newick(t)) == t
 
 
 # --- alife csv -----------------------------------------------------------
@@ -132,11 +141,10 @@ def test_alife_header_and_preorder_ids():
 
 def test_alife_round_trip_keeps_founder_tags():
     t = cherry()
-    t.roots[0].founder_tag = 5
-    t.roots[0].children[0].founder_tag = 5
+    t.founder_tag[:2] = [5, 5]
     back = import_alife_csv(export_alife_csv(t))
     assert canon(back) == canon(t)
-    assert back.roots[0].founder_tag == 5
+    assert back.founder_tag[0] == 5
 
 
 def test_alife_rows_in_any_order():
@@ -155,7 +163,7 @@ def test_alife_header_order_is_flexible_and_extras_ignored():
         "4,,9,[7],tip\n"
     )
     t = import_alife_csv(text)
-    assert len(t.roots) == 1
+    assert t.n_roots == 1
     (tip,) = t.leaves()
     assert tip.label == "tip" and tip.origin_time == 4.0
 
@@ -163,7 +171,7 @@ def test_alife_header_order_is_flexible_and_extras_ignored():
 def test_alife_blank_rows_skipped():
     text = "id,ancestor_list,origin_time\n\n0,[none],0\n  ,,\n1,[0],2\n"
     t = import_alife_csv(text)
-    assert len(list(t.nodes())) == 2
+    assert len(t.parent) == 2
 
 
 @pytest.mark.parametrize(
@@ -194,6 +202,15 @@ def test_alife_blank_rows_skipped():
             "id,ancestor_list,origin_time\n1,[2],0\n2,[1],0\n",
             "ancestry cycle",
         ),
+        ("id,ancestor_list,origin_time\n0,[none],nan\n", "row 2: non-finite origin_time"),
+        (
+            "id,ancestor_list,origin_time\n0,[none],0\n1,[0],inf\n",
+            "row 3: non-finite origin_time",
+        ),
+        (
+            "id,ancestor_list,origin_time\n1,[0],4.5\n0,[none],5\n",
+            "row 2: origin_time 4.5 precedes its ancestor's 5",
+        ),
     ],
 )
 def test_alife_errors_name_the_row(text, fragment):
@@ -206,8 +223,7 @@ def test_alife_errors_name_the_row(text, fragment):
 def test_alife_round_trip(seed, forest):
     t = random_tree(seed, max_leaves=40, forest=forest)
     # sprinkle founder tags on a few nodes to exercise that column
-    for i, node in enumerate(t.nodes()):
-        if i % 3 == 0:
-            node.founder_tag = i
+    for i in range(0, len(t.parent), 3):
+        t.founder_tag[i] = i
     back = import_alife_csv(export_alife_csv(t))
     assert canon(back) == canon(t)

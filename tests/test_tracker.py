@@ -5,19 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surftrack.phylo.tree import PhyloNode, PhyloTree, collapse_unifurcations
+from surftrack.phylo.tree import PhyloTree
 from surftrack.sim import tracker
 from surftrack.sim.tracker import NO_PARENT, LineageTracker
 
-from _trees import canon, canon_ordered
+from _trees import canon, collapse_unifurcations
+
+
+def record_birth(tr: LineageTracker, parent_id: int, rank: int) -> int:
+    """One birth, as a cohort of one."""
+    return int(tr.record_cohort(np.array([parent_id]), np.array([rank]))[0])
 
 
 def family() -> tuple[LineageTracker, int, int, int]:
     """Founder at rank 0 with two children born at rank 1."""
     tr = LineageTracker()
-    founder = tr.record_birth(NO_PARENT, 0)
-    a = tr.record_birth(founder, 1)
-    b = tr.record_birth(founder, 1)
+    founder = record_birth(tr, NO_PARENT, 0)
+    a = record_birth(tr, founder, 1)
+    b = record_birth(tr, founder, 1)
     return tr, founder, a, b
 
 
@@ -55,16 +60,16 @@ def brute_closure(parent_of: dict[int, int], live) -> set[int]:
 def brute_tree(parent_of, rank_of, sample, labels) -> PhyloTree:
     """Reference genealogy built from plain dicts, nodes in id order."""
     keep = sorted(brute_closure(parent_of, sample))
-    nodes = {i: PhyloNode(float(rank_of[i])) for i in keep}
-    roots = []
-    for i in keep:
-        if parent_of[i] == NO_PARENT:
-            roots.append(nodes[i])
-        else:
-            nodes[parent_of[i]].add(nodes[i])
-    for sid, label in zip(sample, labels):
-        nodes[int(sid)].add(PhyloNode(float(rank_of[int(sid)]), label=label))
-    return collapse_unifurcations(PhyloTree(roots))
+    at = {i: k for k, i in enumerate(keep)}
+    parent = [-1 if parent_of[i] == NO_PARENT else at[parent_of[i]] for i in keep]
+    time = [float(rank_of[i]) for i in keep]
+    label = [None] * len(keep)
+    for sid, name in zip(sample, labels):
+        parent.append(at[int(sid)])
+        time.append(float(rank_of[int(sid)]))
+        label.append(name)
+    tree = PhyloTree.from_parents(parent, time, label, [None] * len(parent))
+    return collapse_unifurcations(tree)
 
 
 def test_ids_are_sequential_across_cohorts():
@@ -80,8 +85,7 @@ def test_simple_family_becomes_a_cherry():
     tr, founder, a, b = family()
     tree = tr.to_tree(np.array([a, b]), ["A", "B"])
     assert tree.n_roots == 1
-    root = tree.roots[0]
-    assert root.origin_time == 0.0
+    assert tree.origin_time[0] == 0.0
     assert sorted(leaf.label for leaf in tree.leaves()) == ["A", "B"]
     assert all(leaf.origin_time == 1.0 for leaf in tree.leaves())
 
@@ -89,31 +93,29 @@ def test_simple_family_becomes_a_cherry():
 def test_sampling_one_individual_twice_gives_sibling_leaves():
     tr, founder, a, b = family()
     tree = tr.to_tree(np.array([a, a]), ["X", "Y"])
-    assert tree.n_roots == 1
-    root = tree.roots[0]
     # the chain founder -> a collapses; a's node survives as the fork
-    assert root.origin_time == 1.0
-    assert sorted(leaf.label for leaf in root.children) == ["X", "Y"]
+    assert tree.parent == [-1, 0, 0]
+    assert tree.origin_time[0] == 1.0
+    assert tree.label[1:] == ["X", "Y"]
 
 
 def test_internal_nodes_carry_birth_ranks():
     tr = LineageTracker()
-    founder = tr.record_birth(NO_PARENT, 0)
-    mid = tr.record_birth(founder, 7)
-    left = tr.record_birth(mid, 9)
-    right = tr.record_birth(mid, 12)
+    founder = record_birth(tr, NO_PARENT, 0)
+    mid = record_birth(tr, founder, 7)
+    left = record_birth(tr, mid, 9)
+    right = record_birth(tr, mid, 12)
     tree = tr.to_tree(np.array([left, right]), ["L", "R"])
-    root = tree.roots[0]
-    assert root.origin_time == 7.0
-    assert sorted(c.origin_time for c in root.children) == [9.0, 12.0]
+    assert tree.parent == [-1, 0, 0]
+    assert tree.origin_time == [7.0, 9.0, 12.0]
 
 
 def test_separate_founders_stay_separate_trees():
     tr = LineageTracker()
-    f1 = tr.record_birth(NO_PARENT, 0)
-    f2 = tr.record_birth(NO_PARENT, 0)
-    a = tr.record_birth(f1, 1)
-    b = tr.record_birth(f2, 1)
+    f1 = record_birth(tr, NO_PARENT, 0)
+    f2 = record_birth(tr, NO_PARENT, 0)
+    a = record_birth(tr, f1, 1)
+    b = record_birth(tr, f2, 1)
     tree = tr.to_tree(np.array([a, b]), ["A", "B"])
     assert tree.n_roots == 2
 
@@ -156,7 +158,7 @@ def test_input_arrays_are_copied():
     tr.record_cohort(parents, ranks)
     ranks[:] = 42
     tree = tr.to_tree(np.array([0]), ["A"])
-    assert tree.roots[0].origin_time == 0.0
+    assert tree.origin_time[0] == 0.0
 
 
 def test_peak_rows_is_the_most_rows_held_at_once():
@@ -172,11 +174,11 @@ def test_peak_rows_is_the_most_rows_held_at_once():
 
 def test_prune_drops_extinct_branches_only():
     tr = LineageTracker()
-    founder = tr.record_birth(NO_PARENT, 0)
-    keep_kid = tr.record_birth(founder, 1)
-    dead_kid = tr.record_birth(founder, 1)
-    dead_grandkid = tr.record_birth(dead_kid, 2)
-    keep_grandkid = tr.record_birth(keep_kid, 2)
+    founder = record_birth(tr, NO_PARENT, 0)
+    keep_kid = record_birth(tr, founder, 1)
+    dead_kid = record_birth(tr, founder, 1)
+    dead_grandkid = record_birth(tr, dead_kid, 2)
+    keep_grandkid = record_birth(tr, keep_kid, 2)
     before = tr.to_tree(np.array([keep_grandkid]), ["K"])
     removed = tr.prune(np.array([keep_grandkid]))
     assert removed == 2
@@ -199,11 +201,11 @@ def test_prune_agrees_with_brute_force_closure(seed):
 def test_growth_continues_after_prune():
     tr, founder, a, b = family()
     tr.prune(np.array([a]))
-    c = tr.record_birth(a, 2)
-    d = tr.record_birth(a, 2)
+    c = record_birth(tr, a, 2)
+    d = record_birth(tr, a, 2)
     tree = tr.to_tree(np.array([c, d]), ["C", "D"])
     assert tree.n_roots == 1
-    assert tree.roots[0].origin_time == 1.0  # a is the fork now
+    assert tree.origin_time[0] == 1.0  # a is the fork now
     assert sorted(leaf.label for leaf in tree.leaves()) == ["C", "D"]
 
 
@@ -265,9 +267,7 @@ def test_interleaved_prunes_agree_with_a_brute_force_reference(seed):
         sample = rng.choice(held, size=int(rng.integers(1, 10)))
         sample = np.concatenate([sample, sample[:2]])
         labels = [f"s{k}" for k in range(len(sample))]
-        assert canon_ordered(tr.to_tree(sample, labels)) == canon_ordered(
-            brute_tree(parent_of, rank_of, sample, labels)
-        )
+        assert tr.to_tree(sample, labels) == brute_tree(parent_of, rank_of, sample, labels)
 
 
 @pytest.mark.parametrize("case", ["past-next-id", "negative", "pruned-away"])
@@ -275,7 +275,7 @@ def test_interleaved_prunes_agree_with_a_brute_force_reference(seed):
 def test_ids_not_held_are_rejected(method, case):
     tr, founder, a, b = family()
     tr.prune(np.array([a]))  # drops b
-    c = tr.record_birth(a, 2)
+    c = record_birth(tr, a, 2)
     bad = {"past-next-id": c + 1, "negative": -2, "pruned-away": b}[case]
     ids = np.array([c, bad])
     with pytest.raises(KeyError):
@@ -286,7 +286,7 @@ def test_ids_not_held_are_rejected(method, case):
         else:
             tr.record_cohort(ids, np.full(2, 3))
     assert len(tr) == 3  # a failed call leaves the records alone
-    d = tr.record_birth(c, 3)  # and the next id is still the next one
+    d = record_birth(tr, c, 3)  # and the next id is still the next one
     assert d == c + 1
 
 
@@ -300,8 +300,8 @@ def test_ranks_outside_32_bits_are_rejected(rank):
 
 def test_the_largest_rank_round_trips():
     tr = LineageTracker()
-    founder = tr.record_birth(NO_PARENT, 2**32 - 1)
-    assert tr.to_tree(np.array([founder]), ["F"]).roots[0].origin_time == 2**32 - 1
+    founder = record_birth(tr, NO_PARENT, 2**32 - 1)
+    assert tr.to_tree(np.array([founder]), ["F"]).origin_time == [2**32 - 1]
 
 
 def test_rows_held_are_capped(monkeypatch):
@@ -310,7 +310,7 @@ def test_rows_held_are_capped(monkeypatch):
     with pytest.raises(OverflowError):
         tr.record_cohort(np.array([a, b]), np.full(2, 2))
     assert len(tr) == 3
-    tr.record_birth(a, 2)  # the fourth row still fits
+    record_birth(tr, a, 2)  # the fourth row still fits
     assert len(tr) == 4
 
 
@@ -361,7 +361,7 @@ class Mirror:
         got = self.tr.to_tree(np.array(sample, dtype=np.int64), labels)
         got.validate()
         want = brute_tree(self.parent_of, self.rank_of, sample, labels)
-        assert canon_ordered(got) == canon_ordered(want)
+        assert got == want
 
 
 def test_one_cohort_names_survivors_recent_rows_and_founders():

@@ -4,24 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surftrack.phylo.tree import PhyloNode, PhyloTree
+from surftrack.phylo.tree import PhyloTree
 from surftrack.phylo.triplets import TripletScore, sampled_triplet_error
 
-from _trees import balanced, caterpillar, leaf, random_tree
+from _trees import balanced, build, caterpillar, cherry, forest, leaf, random_tree
 
 
 def rooted(*shape) -> PhyloTree:
     """Build a tree from nested label tuples, e.g. rooted(("A", "B"), "C")."""
+    nodes = []
 
-    def grow(spec, depth):
+    def grow(spec, depth, up):
         if isinstance(spec, str):
-            return leaf(float(depth + 1), spec)
-        node = PhyloNode(float(depth))
+            nodes.append((up, float(depth + 1), spec))
+            return
+        nodes.append((up, float(depth), None))
+        here = len(nodes) - 1
         for sub in spec:
-            node.add(grow(sub, depth + 1))
-        return node
+            grow(sub, depth + 1, here)
 
-    return PhyloTree([grow(shape, 0)])
+    grow(shape, 0, -1)
+    return build(*nodes)
 
 
 def test_tree_agrees_with_itself():
@@ -76,10 +79,7 @@ def test_order_of_arguments_sets_who_is_judged():
 
 
 def test_forest_roots_act_as_outgroups():
-    pair = PhyloNode(0.0)
-    pair.add(leaf(1.0, "A"))
-    pair.add(leaf(1.0, "B"))
-    ref = PhyloTree([pair, leaf(0.0, "C")])
+    ref = forest(cherry(split=0.0, tips=1.0), leaf(0.0, "C"))
 
     agree = sampled_triplet_error(ref, rooted(("A", "B"), "C"), n_triplets=20)
     assert agree.wrong == 0 and agree.correct == 20
@@ -103,7 +103,7 @@ def test_needs_three_leaves():
 
 def test_unlabeled_leaf_rejected():
     t = rooted(("A", "B"), "C")
-    t.roots[0].children[1].label = None
+    t.label[t.label.index("C")] = None
     with pytest.raises(ValueError, match="labeled"):
         sampled_triplet_error(t, t)
 
