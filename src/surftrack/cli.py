@@ -8,11 +8,14 @@ Exit codes: 0 success, 1 failure (bad data, violated checks), 2 usage,
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
+import io
 import os
 import sys
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .phylo.serialize import (
     import_alife_csv,
     parse_newick,
 )
-from .sim.config import ConfigError, GridConfig, Treatment, check_types
+from .sim.config import ConfigError, GridConfig, check_types
 from .sim.engine import DeterministicGrid
 from .sim.output import (
     GenomesCsvError,
@@ -62,14 +65,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a grid evolution simulation")
     sim.add_argument("--grid", type=_grid_pair, help="WIDTHxHEIGHT, e.g. 16x16")
-    sim.add_argument("--pop", type=int, help="genomes per PE (default 32)")
+    sim.add_argument("--pop", type=int, dest="population", help="genomes per PE (default 32)")
     sim.add_argument("--generations", type=int, help="generation steps per PE")
     sim.add_argument(
-        "--treatment", choices=("neutral", "purifying", "adaptive"), help="mutation regime"
+        "--treatment",
+        choices=("neutral", "purifying", "adaptive"),
+        dest="mode",
+        help="mutation regime",
     )
     sim.add_argument("--layout", choices=("tagged", "fitness"), help="genome wire format")
     sim.add_argument("--policy", choices=POLICIES, help="surface placement policy")
-    sim.add_argument("--surface-slots", type=int, help="surface slot count (default 64)")
+    sim.add_argument(
+        "--surface-slots", type=int, dest="slot_count", help="surface slot count (default 64)"
+    )
     sim.add_argument("--differentia-bits", type=int, help="bits per differentia (default 1)")
     sim.add_argument("--seed", type=int, help="run seed (default 0)")
     sim.add_argument("--torus", action="store_true", default=None, help="wrap grid edges")
@@ -97,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--policy", choices=POLICIES, help="override manifest policy")
     rec.add_argument("--layout", choices=("tagged", "fitness"), help="override manifest layout")
-    rec.add_argument("--surface-slots", type=int, help="override manifest slot count")
+    rec.add_argument(
+        "--surface-slots", type=int, dest="slot_count", help="override manifest slot count"
+    )
     rec.add_argument("--differentia-bits", type=int, help="override manifest differentia bits")
     rec.add_argument(
         "--stitch",
@@ -135,35 +145,31 @@ def build_parser() -> argparse.ArgumentParser:
 # -- simulate ---------------------------------------------------------------
 
 
-def _merge_config(args: argparse.Namespace) -> GridConfig:
-    base: dict = {}
-    if args.config:
-        base = read_manifest(args.config)
-        # Accept either a bare config or a full manifest.
-        if "config" in base and isinstance(base["config"], dict):
-            base = base["config"]
-    overrides = {
-        "population": args.pop,
-        "generations": args.generations,
-        "layout": args.layout,
-        "policy": args.policy,
-        "slot_count": args.surface_slots,
-        "differentia_bits": args.differentia_bits,
-        "seed": args.seed,
-        "torus": args.torus,
-        "loss_rate": args.loss_rate,
-        "sample_per_pe": args.sample_per_pe,
-        "track_perfect": args.track_perfect,
-    }
+def _load_config(args: argparse.Namespace, path: str | None) -> dict:
+    """The run config in ``path`` (none if None), a bare config or a
+    manifest holding one under "config", with every flag whose dest is a
+    ``GridConfig`` field laid over it; type-checked, and errors name the file."""
+    data = {} if path is None else read_manifest(path)
+    if "config" in data:
+        data = data["config"]
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: 'config' must be a JSON object")
+    for f in fields(GridConfig):
+        if getattr(args, f.name, None) is not None:
+            data[f.name] = getattr(args, f.name)
+    try:
+        check_types(GridConfig, data)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
+    return data
+
+
+def _grid_config(args: argparse.Namespace) -> GridConfig:
+    base = _load_config(args, args.config)
     if args.grid is not None:
-        overrides["width"], overrides["height"] = args.grid
-    if args.treatment is not None:
-        treatment = dict(base.get("treatment") or {})
-        treatment["mode"] = args.treatment
-        base["treatment"] = treatment
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
+        base["width"], base["height"] = args.grid
+    if args.mode is not None:
+        base["treatment"] = dict(base.get("treatment") or {}, mode=args.mode)
     for required in ("width", "height", "generations"):
         if required not in base:
             raise ConfigError(
@@ -182,7 +188,7 @@ def _spread(values: np.ndarray) -> dict[str, float]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
+    config = _grid_config(args)
     config.validate()
     started = time.perf_counter()
     grid = DeterministicGrid(config, asynchronous=args.parallel)
@@ -255,33 +261,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _reconstruction_params(args: argparse.Namespace) -> tuple[GenomeLayout, str]:
-    manifest_path = args.manifest
-    if manifest_path is None:
+    path = args.manifest
+    if path is None:
         candidate = os.path.join(os.path.dirname(os.path.abspath(args.genomes)), "manifest.json")
-        manifest_path = candidate if os.path.exists(candidate) else None
-    layout_kind = args.layout
-    policy = args.policy
-    slots = args.surface_slots
-    bits = args.differentia_bits
-    if manifest_path is not None:
-        cfg = read_manifest(manifest_path).get("config", {})
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{manifest_path}: 'config' must be a JSON object")
-        try:
-            check_types(GridConfig, cfg)
-        except ConfigError as err:
-            raise ConfigError(f"{manifest_path}: {err}") from None
-        layout_kind = layout_kind or cfg.get("layout")
-        policy = policy or cfg.get("policy")
-        slots = slots if slots is not None else cfg.get("slot_count")
-        bits = bits if bits is not None else cfg.get("differentia_bits")
-    if layout_kind is None or policy is None:
-        raise ConfigError(
-            "no manifest found; pass --manifest or --policy/--layout explicitly"
-        )
-    slots = 64 if slots is None else slots
-    bits = 1 if bits is None else bits
-    return GenomeLayout(layout_kind, slots, bits), policy
+        path = candidate if os.path.exists(candidate) else None
+    cfg = _load_config(args, path)
+    missing = " or ".join(key for key in ("policy", "layout") if key not in cfg)
+    if missing:
+        found = "no manifest found" if path is None else f"{path}: config has no {missing}"
+        raise ConfigError(f"{found}; pass --manifest or --policy/--layout explicitly")
+    slots = cfg.get("slot_count", GridConfig.slot_count)
+    bits = cfg.get("differentia_bits", GridConfig.differentia_bits)
+    return GenomeLayout(cfg["layout"], slots, bits), cfg["policy"]
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
@@ -302,7 +293,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     shared, per_genome = rank_intersection([r.records for r in rows])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        tree = build_forest([(r.records, r.label, r.founder_tag) for r in rows], shared=shared)
+        tree = build_forest([(r.records, r.label, r.founder_tag) for r in rows])
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     roots = tree.n_roots
@@ -352,18 +343,25 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         return 2
     tree = _load_tree(args.tree)
     name = os.path.splitext(os.path.basename(args.tree))[0]
-    lines = ["tree,metric,value"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("tree", "metric", "value"))
+    refused = 0
     for m in wanted:
-        value = phylo_metrics.METRICS[m](tree)
-        lines.append(f"{name},{m},{format_time(value)}")
-    payload = "\n".join(lines) + "\n"
+        try:
+            value = phylo_metrics.METRICS[m](tree)
+        except ValueError as err:
+            print(f"error: {args.tree}: {m}: {err}", file=sys.stderr)
+            refused += 1
+            continue
+        writer.writerow((name, m, format_time(value)))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {len(wanted)} metric(s) to {args.out}")
+            fh.write(buf.getvalue())
+        print(f"wrote {len(wanted) - refused} metric(s) to {args.out}")
     else:
-        sys.stdout.write(payload)
-    return 0
+        sys.stdout.write(buf.getvalue())
+    return 1 if refused else 0
 
 
 # -- compare ------------------------------------------------------------------
@@ -372,17 +370,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _metric_values(pattern: str, metric: str) -> list[float]:
     values = []
     for path in sorted(glob.glob(pattern)):
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = csv.reader(fh)
+            header = [name.strip() for name in next(rows, [])]
             try:
                 mi, vi = header.index("metric"), header.index("value")
             except ValueError:
                 raise ValueError(f"{path}: expected a tree,metric,value CSV") from None
-            for rownum, line in enumerate(fh, start=2):
-                parts = line.strip().split(",")
-                if len(parts) > max(mi, vi) and parts[mi] == metric:
+            for rownum, row in enumerate(rows, start=2):
+                if len(row) > max(mi, vi) and row[mi] == metric:
                     try:
-                        values.append(float(parts[vi]))
+                        values.append(float(row[vi]))
                     except ValueError as err:
                         raise ValueError(f"{path}: row {rownum}, field 'value': {err}") from None
     return values

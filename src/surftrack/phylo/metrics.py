@@ -126,16 +126,8 @@ def evolutionary_distinctness(tree: PhyloTree) -> dict[str, float]:
     leaf's score sums its share along its root path.  Scores therefore
     add up to the total branch length.  Leaves must carry distinct labels.
     """
-    order, score = _distinctness(tree)
-    out: dict[str, float] = {}
-    for i in order:
-        label = tree.label[i]
-        if label is None:
-            raise ValueError("evolutionary distinctness needs labeled leaves")
-        if label in out:
-            raise ValueError(f"duplicate leaf label {label!r}")
-        out[label] = score[i]
-    return out
+    score = _distinctness(tree)[1]
+    return {label: score[i] for label, i in tree.leaf_index().items()}
 
 
 def mean_evolutionary_distinctness(tree: PhyloTree) -> float:

@@ -25,7 +25,6 @@ from .tree import PhyloTree
 def build_forest(
     annotations: Iterable[tuple[RecordSet, str] | tuple[RecordSet, str, int | None]],
     stitch: bool = False,
-    shared: Sequence[int] | None = None,
 ) -> PhyloTree:
     """Reconstruct a phylogeny from labeled record sets.
 
@@ -34,9 +33,7 @@ def build_forest(
     separate trees; ``stitch`` joins a multi-root result with
     :func:`stitch_roots`.  If the inputs share no ranks at all (e.g. a
     brand-new lineage among old ones), nothing can be related and the
-    result degrades to one root per input, with a warning.  ``shared``
-    is the inputs' :func:`rank_intersection`, for a caller that already
-    has it; by default it is computed here.
+    result degrades to one root per input, with a warning.
 
     Child order is canonical (by differentia value, then label), so the
     result does not depend on input order.
@@ -51,9 +48,7 @@ def build_forest(
     if len(entries) == 1:
         return _join(entries, [], [])
 
-    if shared is None:
-        shared, _ = rank_intersection([records for records, _, _ in entries])
-
+    shared, _ = rank_intersection([records for records, _, _ in entries])
     if not shared:
         warnings.warn(
             "annotations share no retained ranks; returning unrelated leaves",

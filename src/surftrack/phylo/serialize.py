@@ -18,7 +18,7 @@ import io
 import math
 import re
 
-from .tree import PhyloTree
+from .tree import CycleError, PhyloTree
 
 
 class NewickParseError(ValueError):
@@ -287,17 +287,8 @@ def import_alife_csv(text: str) -> PhyloTree:
             )
         parent.append(up)
 
-    # A component with no [none] row is a parent cycle.
-    state = [0] * len(parent)
-    for k in range(len(parent)):
-        path = []
-        cur = k
-        while cur >= 0 and state[cur] == 0:
-            path.append(cur)
-            state[cur] = 1
-            cur = parent[cur]
-        if cur >= 0 and state[cur] == 1:
-            raise AlifeCsvError(f"row {rownums[k]}: ancestry cycle through id {ids[cur]}")
-        for q in path:
-            state[q] = 2
-    return PhyloTree.from_parents(parent, times, labels, tags)
+    try:
+        return PhyloTree.from_parents(parent, times, labels, tags)
+    except CycleError as err:  # a component with no [none] row
+        row, node_id = rownums[err.node], ids[err.node]
+        raise AlifeCsvError(f"row {row}: id {node_id} is on or below an ancestry cycle") from None

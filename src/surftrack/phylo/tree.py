@@ -10,6 +10,14 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 
+class CycleError(ValueError):
+    """Parents that leave ``node`` (a position in the given order) below no root."""
+
+    def __init__(self, node: int) -> None:
+        super().__init__(f"parents form a cycle: node {node} is below no root")
+        self.node = node
+
+
 class Leaf(NamedTuple):
     origin_time: float
     label: str | None
@@ -42,13 +50,25 @@ class PhyloTree:
             order.append(i)
             stack.extend(reversed(kids[i]))
         if len(order) != len(parent):
-            raise ValueError("parents form a cycle")
+            raise CycleError(at.index(-1))
         return cls([at[parent[i]] for i in order], *([c[i] for i in order] for c in columns))
 
     def leaf_positions(self) -> list[int]:
         """Positions of the leaves, ascending."""
         after = self.parent[1:] + [-1]
         return [i for i, p in zip(range(len(self.parent)), after) if p != i]
+
+    def leaf_index(self) -> dict[str, int]:
+        """Each leaf's label and position; an unlabeled or repeated leaf raises ValueError."""
+        index: dict[str, int] = {}
+        for i in self.leaf_positions():
+            label = self.label[i]
+            if label is None:
+                raise ValueError(f"leaf {i} is unlabeled")
+            if label in index:
+                raise ValueError(f"duplicate leaf label {label!r}")
+            index[label] = i
+        return index
 
     def leaves(self) -> Iterator[Leaf]:
         for i in self.leaf_positions():

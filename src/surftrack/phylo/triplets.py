@@ -40,14 +40,7 @@ class _Index:
     def __init__(self, tree: PhyloTree) -> None:
         self.parent = tree.parent
         self.depth = depths(self.parent)
-        self.leaf: dict[str, int] = {}
-        for i in tree.leaf_positions():
-            label = tree.label[i]
-            if label is None:
-                raise ValueError("triplet scoring needs labeled leaves")
-            if label in self.leaf:
-                raise ValueError(f"duplicate leaf label {label!r}")
-            self.leaf[label] = i
+        self.leaf = tree.leaf_index()
 
     def lca_depth(self, a: int, b: int) -> int:
         """Depth of the lowest common ancestor; -1 across roots."""

@@ -49,11 +49,12 @@ as if the writes were made one at a time.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..surface.genome import GenomeFields, GenomeLayout
+from ..surface.genome import GenomeColumns, GenomeFields, GenomeLayout
 from ..surface.sites import site
 from . import streams
 from .config import GridConfig
@@ -89,6 +90,16 @@ class SampledGenome:
     label: str
     fields: GenomeFields
     tracker_id: int | None = None
+
+
+def sample_labels(xs: Sequence[int], ys: Sequence[int]) -> list[str]:
+    """``pe{x}_{y}_{j}`` for each sample, with j counting samples per PE in order."""
+    seen: dict[tuple[int, int], int] = {}
+    labels = []
+    for pe in zip(xs, ys):
+        j = seen[pe] = seen.get(pe, -1) + 1
+        labels.append(f"pe{pe[0]}_{pe[1]}_{j}")
+    return labels
 
 
 def neighbor_table(width: int, height: int, torus: bool) -> np.ndarray:
@@ -464,25 +475,11 @@ class DeterministicGrid:
         if surf.ndim == 1:  # 1-bit surfaces: slot j is bit j of the word
             octets = surf.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
             surf = np.unpackbits(octets, axis=1, count=cfg.slot_count, bitorder="little")
-        none = [None] * len(lanes)
+        fields = GenomeColumns(col["counter"], surf, col.get("tag"), col.get("fit")).to_fields()
         pe = np.repeat(self._all, k)
-        fields = map(
-            GenomeFields,
-            col["counter"].tolist(),
-            map(tuple, surf.tolist()),
-            col["tag"].tolist() if "tag" in col else none,
-            col["fit"].tolist() if "fit" in col else none,
-        )
-        return [
-            SampledGenome(x, y, f"pe{x}_{y}_{j}", f, gid)
-            for x, y, j, f, gid in zip(
-                (pe % cfg.width).tolist(),
-                (pe // cfg.width).tolist(),
-                list(range(k)) * cfg.n_pes,
-                fields,
-                col["gid"].tolist() if "gid" in col else none,
-            )
-        ]
+        xs, ys = (pe % cfg.width).tolist(), (pe // cfg.width).tolist()
+        gids = col["gid"].tolist() if "gid" in col else [None] * len(lanes)
+        return list(map(SampledGenome, xs, ys, sample_labels(xs, ys), fields, gids))
 
     def founder_tag_count(self) -> int:
         """Distinct founder tags still alive anywhere (population only)."""

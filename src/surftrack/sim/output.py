@@ -13,7 +13,7 @@ from .. import __version__
 from ..surface.annotation import RecordSet, surface_records
 from ..surface.genome import GenomeLayout, pack_genomes, unpack_genomes
 from .config import GridConfig
-from .engine import SampledGenome
+from .engine import SampledGenome, sample_labels
 
 
 class GenomesCsvError(ValueError):
@@ -69,12 +69,12 @@ def read_genomes_csv(
 ) -> list[GenomeRow]:
     """Decode genomes.csv rows into record sets for reconstruction.
 
-    Labels are derived as pe{x}_{y}_{j}, with j counting rows per PE in
-    file order, mirroring how the simulator labels its samples.  The
-    redundant counter column must agree with the packed counter.  A
-    decode error names the row and the field it failed on.  Every row's
-    fields are parsed first, so a malformed field anywhere is reported
-    before a counter disagreement; then all genomes decode in one pass.
+    Labels come from :func:`~.engine.sample_labels` in file order, as the
+    simulator labels its samples.  The redundant counter column must
+    agree with the packed counter.  A decode error names the row and the
+    field it failed on.  Every row's fields are parsed first, so a
+    malformed field anywhere is reported before a counter disagreement;
+    then all genomes decode in one pass.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -109,13 +109,7 @@ def read_genomes_csv(
     none = [None] * len(blobs)
     tags = none if genomes.founder_tag is None else genomes.founder_tag.tolist()
     fits = none if genomes.fitness is None else genomes.fitness.tolist()
-    rows: list[GenomeRow] = []
-    seen: dict[tuple[int, int], int] = {}
-    for x, y, rec, tag, fit in zip(xs, ys, records, tags, fits):
-        j = seen.get((x, y), 0)
-        seen[(x, y)] = j + 1
-        rows.append(GenomeRow(x, y, f"pe{x}_{y}_{j}", rec, tag, fit))
-    return rows
+    return list(map(GenomeRow, xs, ys, sample_labels(xs, ys), records, tags, fits))
 
 
 def write_manifest(

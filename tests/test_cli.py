@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, driven through main(argv)."""
 
+import argparse
+import dataclasses
 import json
 import os
 import statistics
@@ -9,8 +11,9 @@ import sys
 import pytest
 
 import surftrack
-from surftrack.cli import main
+from surftrack.cli import build_parser, main
 from surftrack.phylo.serialize import import_alife_csv, parse_newick
+from surftrack.sim.config import GridConfig
 from surftrack.sim.output import read_genomes_csv, read_manifest
 from surftrack.surface.genome import GenomeLayout
 
@@ -54,6 +57,18 @@ def test_malformed_grid_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["simulate", "--grid", "3", "--generations", "5", "--out", str(tmp_path)])
     assert e.value.code == 2
+
+
+def test_every_config_flag_names_a_grid_config_field():
+    """simulate and reconstruct apply a flag by its dest, so a dest that is
+    no GridConfig field would drop the flag without a word."""
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    own = {"help", "grid", "mode", "parallel", "config", "out", "genomes", "manifest", "stitch"}
+    config_keys = {f.name for f in dataclasses.fields(GridConfig)}
+    for command in ("simulate", "reconstruct"):
+        for action in subparsers.choices[command]._actions:
+            assert action.dest in own | config_keys, (command, action.option_strings)
 
 
 # -- simulate --------------------------------------------------------------
@@ -369,6 +384,32 @@ def test_reconstruct_needs_a_manifest_or_flags(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("key", ["policy", "layout"])
+def test_reconstruct_names_the_key_a_manifest_lacks(tmp_path, capsys, key):
+    simulate_into(tmp_path)
+    lacking = tmp_path / "lacking.json"
+    config = {"layout": "tagged", "policy": "tilted"}
+    del config[key]
+    lacking.write_text(json.dumps({"config": config}))
+    capsys.readouterr()
+    assert reconstruct_with(tmp_path, "--manifest", str(lacking)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {lacking}: config has no {key}; "
+        "pass --manifest or --policy/--layout explicitly\n"
+    )
+
+
+def test_reconstruct_reads_a_bare_config_as_its_manifest(tmp_path, capsys):
+    simulate_into(tmp_path)
+    config = read_manifest(str(tmp_path / "manifest.json"))["config"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(config))
+    assert reconstruct_with(tmp_path) == 0
+    beside = (tmp_path / "t.newick").read_text()
+    assert reconstruct_with(tmp_path, "--manifest", str(bare)) == 0
+    assert (tmp_path / "t.newick").read_text() == beside
+
+
 def reconstruct_with(tmp_path, *extra) -> int:
     return main(
         [
@@ -481,6 +522,35 @@ def test_pairwise_metrics_refuse_forests(tmp_path, capsys):
     rc = main(["metrics", "--tree", str(tmp_path / "forest.newick"), "--metrics", "mpd"])
     assert rc == 1
     assert "stitch the forest" in capsys.readouterr().err
+
+
+def test_metrics_on_a_forest_writes_every_metric_it_supports(tmp_path, capsys):
+    argv = ["--grid", "3x3", "--generations", "200", "--track-perfect", "--out", str(tmp_path)]
+    assert main(["simulate", *argv]) == 0
+    tree = tmp_path / "perfect_tree.csv"
+    assert import_alife_csv(tree.read_text()).n_roots > 1
+    capsys.readouterr()
+    assert main(["metrics", "--tree", str(tree)]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split(",")[1] for line in out.splitlines()] == ["metric", "sbl", "colless", "med"]
+    assert err == (
+        f"error: {tree}: mpd: pairwise distances need a single root; stitch the forest first\n"
+    )
+    written = tmp_path / "m.csv"
+    assert main(["metrics", "--tree", str(tree), "--out", str(written)]) == 1
+    assert written.read_text() == out
+    assert capsys.readouterr().out == f"wrote 3 metric(s) to {written}\n"
+
+
+def test_metric_csvs_quote_a_comma_in_the_tree_name(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    tree = tmp_path / "a,b.newick"
+    write_cherry(tree)
+    assert main(["metrics", "--tree", str(tree), "--metrics", "sbl", "--out", str(out)]) == 0
+    assert out.read_text() == 'tree,metric,value\n"a,b",sbl,20\n'
+    capsys.readouterr()
+    assert main(["compare", "--a", str(out), "--b", str(out), "--metric", "sbl"]) == 0
+    assert "n_a=1 n_b=1" in capsys.readouterr().out
 
 
 def test_metrics_names_the_file_of_a_bad_tree(tmp_path, capsys):

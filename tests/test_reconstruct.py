@@ -115,10 +115,8 @@ def test_a_given_intersection_and_a_later_stitch_match_one_call():
     from surftrack.phylo.serialize import export_newick
 
     lineages = [(from_values([r, 5, 6 + i % 2]), f"L{i}") for i, r in enumerate([1, 1, 2, 3])]
-    shared, _ = rank_intersection([rs for rs, _ in lineages])
-    tree = build_forest(lineages, shared=shared)
+    tree = build_forest(lineages)
     assert tree.n_roots == 3
-    assert export_newick(tree) == export_newick(build_forest(lineages))
     assert export_newick(stitch_roots(tree)) == export_newick(build_forest(lineages, stitch=True))
 
 

@@ -218,6 +218,14 @@ def test_alife_errors_name_the_row(text, fragment):
         import_alife_csv(text)
 
 
+def test_alife_node_below_a_cycle_names_its_row():
+    # id 5 hangs below the two-node cycle 1 <-> 2; a real root comes first
+    text = "id,ancestor_list,origin_time\n0,[none],0\n5,[1],2\n1,[2],0\n2,[1],0\n"
+    with pytest.raises(AlifeCsvError) as err:
+        import_alife_csv(text)
+    assert str(err.value) == "row 3: id 5 is on or below an ancestry cycle"
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.booleans())
 def test_alife_round_trip(seed, forest):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surftrack.phylo.serialize import export_newick
-from surftrack.phylo.tree import PhyloTree, children
+from surftrack.phylo.metrics import evolutionary_distinctness
+from surftrack.phylo.serialize import export_newick, parse_newick
+from surftrack.phylo.tree import CycleError, PhyloTree, children
+from surftrack.phylo.triplets import sampled_triplet_error
 
 from _trees import cherry, random_tree
 
@@ -43,6 +45,36 @@ def test_from_parents_lays_any_sibling_preserving_order_out_in_preorder(seed, fo
 def test_from_parents_rejects_a_cycle():
     with pytest.raises(ValueError, match="cycle"):
         PhyloTree.from_parents([-1, 2, 1], [0.0] * 3, [None] * 3, [None] * 3)
+
+
+def test_a_cycle_error_names_the_first_node_no_root_reaches():
+    # node 1 hangs below the cycle 2 <-> 3
+    with pytest.raises(CycleError) as err:
+        PhyloTree.from_parents([-1, 2, 3, 2], [0.0] * 4, [None] * 4, [None] * 4)
+    assert err.value.node == 1
+
+
+def test_leaf_index_maps_each_label_to_its_position():
+    tree = parse_newick("((A:1,B:1):4,C:5);")
+    assert tree.leaf_index() == {"A": 2, "B": 3, "C": 4}
+
+
+@pytest.mark.parametrize(
+    "newick, message",
+    [
+        ("((A:1,:1):4,C:5);", "leaf 3 is unlabeled"),
+        ("((A:1,B:1):4,A:5);", "duplicate leaf label 'A'"),
+    ],
+    ids=["unlabeled", "repeated"],
+)
+@pytest.mark.parametrize(
+    "use",
+    [evolutionary_distinctness, lambda tree: sampled_triplet_error(tree, tree)],
+    ids=["distinctness", "triplets"],
+)
+def test_leaf_label_checks_reject_through_every_caller(newick, message, use):
+    with pytest.raises(ValueError, match=message):
+        use(parse_newick(newick))
 
 
 @pytest.mark.parametrize(
