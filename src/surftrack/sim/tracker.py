@@ -2,46 +2,39 @@
 
 The tracker assigns every individual a monotonically increasing id and
 stores its parent and birth rank, appended one cohort per generation.
-Periodic pruning drops everything not ancestral to a caller-supplied
-live set, which keeps memory proportional to the surviving genealogy
-instead of total births.  The engine prunes every 64 cycles.
+Periodic pruning keeps only what the genealogy of a caller-supplied live
+set needs, which keeps memory proportional to the live population
+instead of total births.  The engine prunes every 32 cycles.
 
-Storage: two column buffers, reused across prunes and grown by half
-when full: each row's parent as a row position (int32, NO_PARENT for
-founders) and its birth rank (uint32), 8 bytes per row.  The rows that
-survived the last prune come first, in id order, and their ids sit in a
-sorted side array.  Every row recorded since holds the next consecutive
-id, so from the newest survivors whose ids run on to them, a row's
-position follows from its id by one subtraction; older survivors need a
-binary search.  ``record_cohort`` converts parent ids to positions on
-arrival.  Positions fit because the buffers stay below 2**31 rows, and
-ranks (deposit counters) lie in [0, 2**32).
+Storage: two column buffers, reused across prunes and grown by a
+quarter when full: each row's parent as a row position (int32,
+NO_PARENT for founders) and its birth rank (uint32), 8 bytes per row,
+plus a 4-byte stamp per buffer row, which maps rows to new positions
+while pruning and building trees.  The rows that survived the last prune come first, in id
+order, and their ids sit in a sorted side array.  Every row recorded
+since holds the next consecutive id, so from the newest survivors whose
+ids run on to them, a row's position follows from its id by one
+subtraction; older survivors need a binary search.  ``record_cohort``
+converts parent ids to positions on arrival.  Positions fit because the
+buffers stay below 2**31 rows, and ranks (deposit counters) lie in
+[0, 2**32).
 
-Each survivor also carries the label of its chain: a maximal run of
-survivors in which every row but the last has exactly one surviving
-child.  Ids increase down a chain, and its label is the row position of
-its top.  Whatever is kept of a chain is therefore the part at or above
-its deepest kept row.
+A prune takes the closure of the live set (the rows live or ancestral
+to a live row) and keeps only its rows that are live or have two or more
+children in it, each pointing at its nearest kept ancestor: the rows in
+between are unifurcations, which ``to_tree`` would collapse anyway.  So
+at most 2L - 1 rows survive for L distinct live ids.  Each survivor's
+key is the id of the topmost row of the run it absorbed, and ``to_tree``
+orders siblings by key, as if nothing had been spliced.  After
+``prune(live)`` only the ids in ``live`` and ids recorded since may be
+named; a spliced ancestor raises KeyError, as a pruned one does.
 
-A prune sweeps the rows recorded since the last one cohort by cohort,
-newest first: every parent sits in an earlier cohort, so one pass over
-each cohort's keep mask marks its kept rows' parents, and what points
-into the survivors becomes their entries.  It then marks the survivors
-chain by chain: one step climbs from the tops of the chains just entered
-to the chains their parents sit on, and one gather-and-compare keeps
-every survivor at or above its chain's deepest entry.  The kept rows are
-gathered to the front of the same buffers, their parent positions
-renumbered to match, and relabelled.  A cut chain keeps its label, a branch left
-with one kept child merges two chains, and a row that gains a second
-child splits its chain; pointer doubling settles the rows these touch.
-Only the rows recorded since get fresh labels, cohort by cohort, oldest
-first.
-So a prune costs in proportion to the rows recorded since the last one,
-plus the rows it keeps, plus the branching depth of the genealogy (the
-most chains on one path to a founder); it no longer grows with the
-genealogy's depth in generations.  ``to_tree`` labels the sample's
-ancestry the same way, counting samples as children, and builds one
-node per chain.
+The closure sweeps the rows recorded since the last prune cohort by
+cohort, newest first: every parent sits in an earlier cohort, so one
+pass over each cohort's mask marks its marked rows' parents, and the
+survivors they reach are climbed with a visited mask.  So a prune costs
+in proportion to the rows recorded since the last one plus the
+survivors.
 
 Birth rank is lineage-local time: the deposit counter the newborn
 carried at its first deposit.  For lineages that never sat in a
@@ -66,36 +59,21 @@ def _resized(buf: np.ndarray, used: int, capacity: int) -> np.ndarray:
     return out
 
 
-def _chain_tops(
-    parent: np.ndarray, through: np.ndarray, carried: np.ndarray, blocks: list[int]
-) -> np.ndarray:
+def _chain_tops(parent: np.ndarray, through: np.ndarray, blocks: list[int]) -> np.ndarray:
     """Index of the top of each row's chain.
 
     ``parent`` indexes the same rows (NO_PARENT for founders).  A row
-    continues its parent's chain when the parent is ``through``, that is
-    has exactly one child.  The leading ``len(carried)`` rows have their
-    parents among themselves and already know the top of an earlier,
-    coarser chain of theirs, an ancestor-or-self: unless some row inside
-    that chain now starts a chain of its own, they share its new top, and
-    the rest resolve by pointer doubling.  The other rows come in
-    ``blocks`` (start indices, ascending, the first at ``len(carried)``)
-    whose parents all sit in earlier blocks or among the leading rows, so
-    one pass per block labels them in order.  Labels are carried rather
-    than recomputed because relabelling every kept row by pointer
-    doubling made a 16x16 purifying tracked run's prunes about 40%
-    slower (360-400 against 260-280 ms on a 2-core host).
+    continues its parent's chain when the parent is ``through``.  The
+    rows before ``blocks[0]`` have their parents among themselves and
+    resolve by pointer doubling.  The other rows come in ``blocks``
+    (start indices, ascending) whose parents all sit in earlier blocks or
+    among the leading rows, so one pass per block labels them in order.
     """
-    n, m = parent.size, carried.size
+    n = parent.size
     idx = np.arange(n, dtype=np.int32)
     top = ~np.append(through, False)[parent]  # a founder's NO_PARENT reads False
     jump = np.where(top, idx, parent)
-    head = jump[:m]
-    # A row that now starts a chain inside a carried one splits it.
-    inner = carried != idx[:m]
-    split = np.zeros(m, dtype=bool)
-    split[carried[inner & top[:m]]] = True
-    inner &= ~split[carried]
-    head[inner] = carried[inner]
+    head = jump[: blocks[0] if blocks else n]
     todo = np.flatnonzero(~top[head])
     while todo.size:
         hop = head[head[todo]]
@@ -114,7 +92,7 @@ class LineageTracker:
         self._rank = np.empty(0, dtype=np.uint32)
         self._n = 0  # rows held: survivors first, then rows recorded since
         self._kept_ids = np.empty(0, dtype=np.int64)  # sorted ids of the survivors
-        self._chain = np.empty(0, dtype=np.int32)  # survivors: row of their chain's top
+        self._key = np.empty(0, dtype=np.int64)  # survivors: id atop the run each absorbed
         self._first_direct = 0  # held ids from here on sit at id - (next id - rows held)
         self._cohorts: list[int] = []  # first row of each cohort recorded since
         self._next_id = 0
@@ -149,7 +127,7 @@ class LineageTracker:
         if end > len(self._parent):
             if end > MAX_ROWS:
                 raise OverflowError(f"the lineage tracker holds at most {MAX_ROWS} rows")
-            capacity = min(max(end, len(self._parent) * 3 // 2), MAX_ROWS)
+            capacity = min(max(end, len(self._parent) * 5 // 4), MAX_ROWS)
             self._parent = _resized(self._parent, start, capacity)
             self._rank = _resized(self._rank, start, capacity)
         out = self._parent[start:end]
@@ -187,12 +165,19 @@ class LineageTracker:
             pos[old] = at
         return pos
 
-    def _ancestry(self, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows live or ancestral to a live id, sorted, and the index into
-        them of each one's parent (NO_PARENT for founders)."""
+    def _id_or(self, survivors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``survivors[row]`` for each survivor row, else the row's id."""
+        out = rows + (self._next_id - self._n)
+        old = rows < self._kept_ids.size
+        out[old] = survivors[rows[old]]
+        return out
+
+    def _ancestry(self, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows of ``ids`` and their ancestors, sorted; the index into
+        them of each one's parent (NO_PARENT for founders) and of each
+        id's row; and the start of each cohort among them."""
         n_old = self._kept_ids.size
-        live = np.asarray(live, dtype=np.int64)
-        at = self._positions(live[live != NO_PARENT])
+        at = self._positions(np.asarray(ids, dtype=np.int64))
         # Every parent sits in an earlier cohort or among the survivors:
         # sweep the newest first.  A mark on a row already swept changes
         # nothing, so NO_PARENT may mark the spare last entry.
@@ -208,8 +193,13 @@ class LineageTracker:
             parents.append(named)
             seen[named] = True
         if n_old:
-            entries = np.flatnonzero(seen[:n_old]).astype(np.int32)
-            kept = np.flatnonzero(self._survivor_closure(entries))
+            seen[-1] = True  # so the climb stops at NO_PARENT
+            up = np.flatnonzero(seen[:n_old])
+            while up.size:
+                up = self._parent[up]
+                up = np.unique(up[~seen[up]])
+                seen[up] = True
+            kept = np.flatnonzero(seen[:n_old])
             rows.append(kept)
             parents.append(self._parent[kept])
         rows = np.concatenate(rows[::-1])
@@ -219,45 +209,24 @@ class LineageTracker:
             self._stamp = np.empty(len(self._parent) + 1, dtype=np.int32)
             self._stamp[-1] = NO_PARENT  # never a row's: maps NO_PARENT to itself
         self._stamp[rows] = np.arange(rows.size, dtype=np.int32)
-        return rows, self._stamp[parents]
-
-    def _survivor_closure(self, entries: np.ndarray) -> np.ndarray:
-        """Mask over the survivors: ``entries`` (rows) and their ancestors."""
-        n_old = self._kept_ids.size
-        chain = self._chain
-        deep = np.full(n_old, -1, dtype=np.int32)  # deepest entry, by chain top
-        # Each step climbs from the tops of the chains just entered to the
-        # chains their parents sit on.
-        while entries.size:
-            tops = chain[entries]
-            fresh = tops[deep[tops] < 0]
-            np.maximum.at(deep, tops, entries)
-            entries = self._parent[fresh]
-            entries = entries[entries != NO_PARENT]
-        return np.arange(n_old, dtype=np.int32) <= deep[chain]
-
-    def _tops(self, rows: np.ndarray, parents: np.ndarray, through: np.ndarray) -> np.ndarray:
-        """Chain tops over a closure's ``rows``, as indices into them.
-
-        Call right after :meth:`_ancestry`, whose stamp maps each
-        survivor's carried chain label into ``rows``.
-        """
-        old = rows[: np.searchsorted(rows, self._kept_ids.size)]
-        carried = self._stamp[self._chain[old]]
         blocks = np.searchsorted(rows, self._cohorts).tolist()
-        return _chain_tops(parents, through, carried, blocks)
+        return rows, self._stamp[parents], self._stamp[at], blocks
 
     def prune(self, live: np.ndarray) -> int:
-        """Drop records not ancestral to ``live``; returns rows removed."""
-        rows, parents = self._ancestry(live)
+        """Keep the rows live or ancestral to ``live`` that are live or
+        branch, each pointing at its nearest kept ancestor; returns rows
+        removed.  Only ``live`` and later ids may be named afterwards."""
+        live = np.asarray(live, dtype=np.int64)
+        rows, parents, at, blocks = self._ancestry(live[live != NO_PARENT])
+        kept = np.bincount(parents[parents != NO_PARENT], minlength=rows.size) >= 2
+        kept[at] = True
+        head = rows[_chain_tops(parents, ~kept, blocks)[kept]]  # top of each kept row's run
+        rows = rows[kept]
         k = rows.size
-        through = np.bincount(parents[parents != NO_PARENT], minlength=k) == 1
-        chain = self._tops(rows, parents, through)
-        ids = rows + (self._next_id - self._n)
-        survivors = np.searchsorted(rows, self._kept_ids.size)  # rows are sorted: old ones first
-        ids[:survivors] = self._kept_ids[rows[:survivors]]
-        self._chain = chain
-        self._parent[:k] = parents
+        ids = self._id_or(self._kept_ids, rows)
+        self._key = self._id_or(self._key, head)
+        self._stamp[rows] = np.arange(k, dtype=np.int32)  # each kept row's new position
+        self._parent[:k] = self._stamp[self._parent[head]]  # its nearest kept ancestor's
         self._rank[:k] = self._rank[rows]
         removed = self._n - k
         self._peak = max(self._peak, self._n)
@@ -288,32 +257,32 @@ class LineageTracker:
         One node stands for each chain of the sample's ancestry, counting
         sample leaves as children: the chain's last row where it branches,
         else the lone sample leaf it ends in.  Children come in the order
-        of their chains' tops, then the row's own sample leaves in sample
-        order, as if every row were a node and unifurcations were spliced
-        out afterwards.
+        of their chains' top keys, then the row's own sample leaves in
+        sample order, as if every row were a node and unifurcations were
+        spliced out afterwards.
         """
-        sample_ids = np.asarray(sample_ids, dtype=np.int64)
         if len(sample_ids) != len(labels):
             raise ValueError("one label per sampled id")
         if tags is not None and len(tags) != len(labels):
             raise ValueError("one tag per sampled id")
-        rows, parents = self._ancestry(sample_ids)
-        at = np.searchsorted(rows, self._positions(sample_ids))
+        rows, parents, at, blocks = self._ancestry(sample_ids)
         kids = np.bincount(parents[parents != NO_PARENT], minlength=rows.size)
         leaves = np.bincount(at, minlength=rows.size)
-        top = self._tops(rows, parents, (kids == 1) & (leaves == 0))
+        top = _chain_tops(parents, (kids == 1) & (leaves == 0), blocks)
         time = self._rank[rows].astype(np.float64)
         fork = kids + leaves >= 2  # rows that stay nodes
         ends = np.flatnonzero(fork)
         lone = np.flatnonzero(~fork[at])  # samples that end a chain alone
         forked = np.flatnonzero(fork[at])  # sample leaves of forking rows
-        # One node per chain, in order of the chain tops, then the forked leaves.
+        # One node per chain, in order of the chain tops' keys, then the forked leaves.
         last = np.concatenate([ends, at[lone]])  # each chain's node row
-        order = np.argsort(top[last])
+        order = np.argsort(self._id_or(self._key, rows[top[last]]))
         who = np.concatenate([np.full(ends.size, -1), lone])[order]  # its sample, or -1
         chains = top[last[order]]
+        node = np.empty(rows.size, dtype=np.int64)  # each chain top's node
+        node[chains] = np.arange(chains.size)
         anchor = np.concatenate([parents[chains], at[forked]])  # a row on the parent's chain
-        up = np.where(anchor == NO_PARENT, -1, np.searchsorted(chains, top[anchor]))
+        up = np.where(anchor == NO_PARENT, -1, node[top[anchor]])
         who = np.concatenate([who, forked]).tolist()
         return PhyloTree.from_parents(
             up.tolist(),

@@ -7,9 +7,11 @@ what order, or how they are used shows up here.  Together the cases
 cover every branch of the tournament, mutation and deposit stages:
 tagged and fitness layouts, all-tie tournaments, each treatment and
 policy, the 8-bit surface, in-transit loss, the torus and tracking.
-``tagged-tracked-400`` runs long enough for the tracker to prune three
-times before the final prune, so its tree hash checks the lineage
-records across prunes.
+``tagged-tracked-400`` runs 400 lockstep cycles, so the engine prunes
+the tracker ``400 // PRUNE_INTERVAL`` times (twelve at 32 cycles) before
+the final prune, and its tree hash checks the lineage records across
+prunes.  The prune cadence must not show in any artifact: two tracked
+cases are rerun pruning every cycle and never before the end.
 The cases in ASYNCHRONOUS run the step-or-stall schedule; they have no
 earlier engine to agree with, so their hashes were recorded when that
 mode was added and pin it against drift.
@@ -42,6 +44,7 @@ from surftrack.phylo.metrics import METRICS
 from surftrack.phylo.reconstruct import build_forest
 from surftrack.phylo.serialize import export_alife_csv, export_newick
 from surftrack.phylo.triplets import sampled_triplet_error
+from surftrack.sim import engine
 from surftrack.sim.config import GridConfig, Treatment
 from surftrack.sim.engine import DeterministicGrid
 from surftrack.sim.output import genomes_csv_text, read_genomes_csv
@@ -211,6 +214,14 @@ def reconstructed_hash(config: GridConfig, asynchronous: bool = False) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_pinned_hashes(name):
     assert artifact_hashes(case_config(name), name in ASYNCHRONOUS) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("interval", [1, 10**9])
+@pytest.mark.parametrize("name", ["tagged-tracked-400", "async-lossy-tracked"])
+def test_prune_cadence_leaves_the_artifacts_alone(monkeypatch, name, interval):
+    default = artifact_hashes(case_config(name), name in ASYNCHRONOUS)
+    monkeypatch.setattr(engine, "PRUNE_INTERVAL", interval)
+    assert artifact_hashes(case_config(name), name in ASYNCHRONOUS) == default
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

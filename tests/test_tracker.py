@@ -1,12 +1,16 @@
 """Exact lineage tracking: ids, pruning, and genealogy extraction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surftrack.phylo.tree import PhyloTree
-from surftrack.sim import tracker
+from surftrack.sim import engine, tracker
+from surftrack.sim.config import GridConfig, Treatment
+from surftrack.sim.engine import DeterministicGrid
 from surftrack.sim.tracker import NO_PARENT, LineageTracker
 
 from _trees import canon, collapse_unifurcations
@@ -55,6 +59,15 @@ def brute_closure(parent_of: dict[int, int], live) -> set[int]:
             keep.add(x)
             x = parent_of[x]
     return keep
+
+
+def brute_spliced(parent_of: dict[int, int], live) -> set[int]:
+    """The rows a prune keeps: the closure less the rows that are not
+    live and have exactly one child inside it."""
+    keep = brute_closure(parent_of, live)
+    kids = Counter(parent_of[x] for x in keep)
+    live = {int(x) for x in live}
+    return {x for x in keep if x in live or kids[x] != 1}
 
 
 def brute_tree(parent_of, rank_of, sample, labels) -> PhyloTree:
@@ -164,26 +177,26 @@ def test_input_arrays_are_copied():
 def test_peak_rows_is_the_most_rows_held_at_once():
     tr, founder, a, b = family()
     assert tr.peak_rows == 3
-    tr.prune(np.array([a]))
-    assert (len(tr), tr.peak_rows) == (2, 3)
+    tr.prune(np.array([a]))  # b dies, and the founder above a is spliced out
+    assert (len(tr), tr.peak_rows) == (1, 3)
     tr.record_cohort(np.full(4, a), np.full(4, 2))
-    assert (len(tr), tr.peak_rows) == (6, 6)
+    assert (len(tr), tr.peak_rows) == (5, 5)
     tr.prune(np.array([a]))
-    assert (len(tr), tr.peak_rows) == (2, 6)
+    assert (len(tr), tr.peak_rows) == (1, 5)
 
 
-def test_prune_drops_extinct_branches_only():
-    tr = LineageTracker()
-    founder = record_birth(tr, NO_PARENT, 0)
-    keep_kid = record_birth(tr, founder, 1)
-    dead_kid = record_birth(tr, founder, 1)
-    dead_grandkid = record_birth(tr, dead_kid, 2)
-    keep_grandkid = record_birth(tr, keep_kid, 2)
-    before = tr.to_tree(np.array([keep_grandkid]), ["K"])
-    removed = tr.prune(np.array([keep_grandkid]))
-    assert removed == 2
-    assert len(tr) == 3
-    after = tr.to_tree(np.array([keep_grandkid]), ["K"])
+def test_prune_drops_extinct_branches_and_unifurcations():
+    m = Mirror()
+    founder = m.cohort([NO_PARENT])[0]
+    keep_kid = m.cohort([founder])[0]
+    dead_kid = m.cohort([founder])[0]
+    m.cohort([dead_kid])
+    keep_grandkid = m.cohort([keep_kid])[0]
+    before = m.tr.to_tree(np.array([keep_grandkid]), ["K"])
+    m.prune([keep_grandkid])  # checks the rows removed and held against brute_spliced
+    assert m.pruned == 4
+    assert len(m.tr) == 1  # only the live row: its line up to the founder is unary
+    after = m.tr.to_tree(np.array([keep_grandkid]), ["K"])
     assert canon(after) == canon(before)
 
 
@@ -192,7 +205,7 @@ def test_prune_agrees_with_brute_force_closure(seed):
     tr, parent_of = random_genealogy(seed, births=300)
     rng = np.random.default_rng(seed + 1000)
     live = rng.choice(sorted(parent_of), size=20, replace=False)
-    expected_keep = brute_closure(parent_of, live)
+    expected_keep = brute_spliced(parent_of, live)
     removed = tr.prune(live)
     assert removed == len(parent_of) - len(expected_keep)
     assert len(tr) == len(expected_keep)
@@ -225,19 +238,20 @@ def test_empty_sample_gives_empty_forest():
 def test_interleaved_prunes_agree_with_a_brute_force_reference(seed):
     """Rounds of cohorts and prunes, checked against dicts after every prune.
 
-    Each round's parents come both from rows that survived the last prune
-    and from rows recorded since, and each live set holds a founder and
+    Each round's parents come both from the last prune's live ids and
+    from rows recorded since, and each live set holds a founder and
     repeated ids.
     """
     rng = np.random.default_rng(seed)
     tr = LineageTracker()
     parent_of: dict[int, int] = {}
     rank_of: dict[int, int] = {}
-    held: list[int] = []
+    held: set[int] = set()  # rows the last prune kept
+    named: list[int] = []  # the last prune's live ids
     rank = 0
     pruned = 0
     for _ in range(6):
-        survivors, recent = list(held), []
+        survivors, recent = list(named), []
         for _ in range(int(rng.integers(2, 8))):
             n = int(rng.integers(1, 30))
             pools = [pool for pool in (survivors, recent) if pool]
@@ -258,25 +272,27 @@ def test_interleaved_prunes_agree_with_a_brute_force_reference(seed):
         founders = [i for i in candidates if parent_of[i] == NO_PARENT]
         live = rng.choice(candidates, size=int(rng.integers(1, 12)))
         live = np.concatenate([live, live[:3], founders[:1]])
-        expected = brute_closure(parent_of, live)
-        assert tr.prune(live) == len(candidates) - len(expected)
-        pruned += len(candidates) - len(expected)
-        held = sorted(expected)
+        expected = brute_spliced(parent_of, live)
+        assert tr.prune(live) == len(held) + len(recent) - len(expected)
+        pruned += len(held) + len(recent) - len(expected)
+        held = expected
+        named = sorted(set(live.tolist()))
         assert len(tr) == len(held)
+        assert len(tr) <= 2 * len(named) - 1  # every kept row that is not live branches
         assert tr.rows_pruned == pruned
-        sample = rng.choice(held, size=int(rng.integers(1, 10)))
+        sample = rng.choice(named, size=int(rng.integers(1, 10)))
         sample = np.concatenate([sample, sample[:2]])
         labels = [f"s{k}" for k in range(len(sample))]
         assert tr.to_tree(sample, labels) == brute_tree(parent_of, rank_of, sample, labels)
 
 
-@pytest.mark.parametrize("case", ["past-next-id", "negative", "pruned-away"])
+@pytest.mark.parametrize("case", ["past-next-id", "negative", "pruned-away", "spliced-out"])
 @pytest.mark.parametrize("method", ["prune", "to_tree", "record_cohort"])
 def test_ids_not_held_are_rejected(method, case):
     tr, founder, a, b = family()
-    tr.prune(np.array([a]))  # drops b
+    tr.prune(np.array([a]))  # drops b and splices out the founder
     c = record_birth(tr, a, 2)
-    bad = {"past-next-id": c + 1, "negative": -2, "pruned-away": b}[case]
+    bad = {"past-next-id": c + 1, "negative": -2, "pruned-away": b, "spliced-out": founder}[case]
     ids = np.array([c, bad])
     with pytest.raises(KeyError):
         if method == "prune":
@@ -285,7 +301,7 @@ def test_ids_not_held_are_rejected(method, case):
             tr.to_tree(ids, ["C", "X"])
         else:
             tr.record_cohort(ids, np.full(2, 3))
-    assert len(tr) == 3  # a failed call leaves the records alone
+    assert len(tr) == 2  # a failed call leaves the records alone
     d = record_birth(tr, c, 3)  # and the next id is still the next one
     assert d == c + 1
 
@@ -317,9 +333,12 @@ def test_rows_held_are_capped(monkeypatch):
 class Mirror:
     """A tracker and a plain-dict reference, driven in lockstep.
 
-    Every prune is checked for the rows it drops, the rows it holds and
-    the running total; ``check_tree`` compares ``to_tree`` with
-    :func:`brute_tree`, child order included.
+    Every prune is checked for the rows it drops, the rows it holds
+    (against :func:`brute_spliced`, and at most two per live id) and the
+    running total; ``check_tree`` compares ``to_tree`` with
+    :func:`brute_tree`, child order included.  ``named`` holds the ids
+    the tracker must still accept: the last prune's live ids and every
+    id recorded since.
     """
 
     def __init__(self) -> None:
@@ -327,6 +346,7 @@ class Mirror:
         self.parent_of: dict[int, int] = {}
         self.rank_of: dict[int, int] = {}
         self.held: set[int] = set()
+        self.named: set[int] = set()
         self.pruned = 0
 
     def cohort(self, parents) -> list[int]:
@@ -336,6 +356,7 @@ class Mirror:
         for i, p, r in zip(ids, parents.tolist(), ranks.tolist()):
             self.parent_of[i], self.rank_of[i] = p, r
         self.held.update(ids)
+        self.named.update(ids)
         return ids
 
     def chain(self, parent: int, length: int) -> list[int]:
@@ -347,12 +368,14 @@ class Mirror:
         return out
 
     def prune(self, live) -> None:
-        expected = brute_closure(self.parent_of, live)
+        expected = brute_spliced(self.parent_of, live)
         removed = len(self.held) - len(expected)
         assert self.tr.prune(np.asarray(live, dtype=np.int64)) == removed
         self.held = expected
+        self.named = {int(x) for x in live}
         self.pruned += removed
         assert len(self.tr) == len(expected)
+        assert len(self.tr) <= max(2 * len(self.named) - 1, 0)
         assert self.tr.rows_pruned == self.pruned
 
     def check_tree(self, sample) -> None:
@@ -370,14 +393,15 @@ def test_one_cohort_names_survivors_recent_rows_and_founders():
     line = m.chain(founders[0], 5)
     side = m.cohort([founders[1], line[2]])
     # founders[0] and founders[1] survive ahead of an unbroken run of ids
-    # that ends at the newest row; founders[2] is dropped.
-    m.prune([line[-1], side[0], side[1], line[1]])
+    # that ends at the newest row; founders[2] is dropped, and line[0]
+    # and line[3] are spliced out.
+    m.prune([line[-1], side[0], side[1], line[1], founders[0], founders[1]])
     recent = m.cohort([line[-1], side[1], founders[1]])
     mixed = m.cohort(
         [founders[1], line[1], NO_PARENT, recent[0], founders[0], recent[2], NO_PARENT, side[0]]
     )
     m.check_tree(mixed + [line[1], recent[1]])
-    m.prune(mixed + [recent[1]])
+    m.prune(mixed + [recent[1], line[1], founders[1], line[-1]])
     m.check_tree(mixed + [recent[1], line[1]])
     late = m.cohort([mixed[2], founders[1], recent[1], line[-1]])
     m.prune(late)
@@ -392,12 +416,13 @@ def test_unary_chain_thousands_of_levels_deep():
     for step in range(12):
         line += m.chain(line[-1], 100)
         side += m.chain(line[-50], 3)  # a short side branch off the middle
-        m.prune([line[-1], side[-1]] if step % 3 == 0 else [line[-1]])
+        mid = [line[k] for k in (7, 500) if k < len(line)]  # live rows inside the line
+        m.prune(([line[-1], side[-1]] if step % 3 == 0 else [line[-1]]) + mid)
     assert len(line) > 1000
     m.check_tree([line[-1], line[-1]])
     m.check_tree([line[-1], line[500], line[7]])  # sampling mid-chain splits it
     m.prune([line[-1]])
-    assert len(m.tr) == len(line)
+    assert len(m.tr) == 1  # the whole line is unary above its tip
     m.check_tree([line[-1]])
 
 
@@ -405,10 +430,10 @@ def test_live_mid_chain_row_that_gains_a_second_child_splits_its_chain():
     m = Mirror()
     founder = m.cohort([NO_PARENT])[0]
     line = [founder] + m.chain(founder, 20)
-    m.prune([line[-1], line[10]])  # a live row inside the chain
+    m.prune([line[-1], line[10], line[15]])  # live rows inside the chain
     b = m.cohort([line[10]])[0]
     c = m.cohort([line[-1]])[0]
-    m.prune([b, c])
+    m.prune([b, c, line[15]])
     m.check_tree([b, c])
     m.check_tree([c, b, line[15]])
     d = m.cohort([line[15]])[0]  # a second split, below the first
@@ -416,7 +441,7 @@ def test_live_mid_chain_row_that_gains_a_second_child_splits_its_chain():
     m.check_tree([d, b])
     m.prune([d])
     m.check_tree([d])
-    assert len(m.tr) == 17
+    assert len(m.tr) == 1  # d's whole ancestry is unary
 
 
 def test_branch_whose_other_children_all_die_merges_chains():
@@ -425,11 +450,11 @@ def test_branch_whose_other_children_all_die_merges_chains():
     stem = [founder] + m.chain(founder, 5)
     left = m.chain(stem[-1], 10)
     right = m.chain(stem[-1], 10)
-    m.prune([left[-1], right[-1]])
+    m.prune([left[-1], right[-1], left[3], left[6], stem[2]])
     z = m.chain(left[-1], 4)
-    m.prune([z[-1]])  # right dies: the stem, left and z are one chain now
+    m.prune([z[-1], left[3], left[6], stem[2]])  # right dies: the stem, left and z are one chain
     m.check_tree([z[-1], left[3]])
-    m.prune([left[6]])  # cut inside the merged chain
+    m.prune([left[6], stem[2]])  # cut inside the merged chain
     m.check_tree([left[6]])
     w = m.cohort([stem[2], left[6], left[6]])
     m.prune(w)
@@ -465,7 +490,7 @@ def test_a_prune_after_every_cohort(seed):
         live = ids[:keep] + [int(x) for x in rng.choice(live, size=int(rng.integers(0, 2)))]
         m.prune(live)
         if step % 10 == 9:
-            m.check_tree(rng.choice(sorted(m.held), size=4))
+            m.check_tree(rng.choice(sorted(m.named), size=4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,7 +510,31 @@ def test_chain_heavy_genealogies_agree_with_a_brute_force_reference(seed):
             lingering = [p for p in live if rng.random() < 0.05]
             live = m.cohort(parents) + lingering
         if rng.random() < 0.5:
-            m.check_tree(rng.choice(sorted(m.held), size=int(rng.integers(1, 6))))
+            m.check_tree(rng.choice(sorted(m.named), size=int(rng.integers(1, 6))))
         live = [int(x) for x in rng.choice(live, size=int(rng.integers(1, len(live) + 1)))]
         m.prune(live)
-        m.check_tree(rng.choice(sorted(m.held), size=int(rng.integers(1, 6))))
+        m.check_tree(rng.choice(sorted(m.named), size=int(rng.integers(1, 6))))
+
+
+def test_a_tracked_grid_holds_at_most_two_rows_per_live_id(monkeypatch):
+    """After every prune of an engine run, L distinct live ids hold at
+    most 2L - 1 rows."""
+    grid = DeterministicGrid(
+        GridConfig(
+            16, 16, 300, layout="fitness", treatment=Treatment(mode="purifying"),
+            track_perfect=True,
+        )
+    )
+    tr = grid.tracker
+    prune = tr.prune
+    held = []
+
+    def checked(live):
+        removed = prune(live)
+        held.append((len(tr), np.unique(live).size))
+        return removed
+
+    monkeypatch.setattr(tr, "prune", checked)
+    grid.run()
+    assert len(held) == 300 // engine.PRUNE_INTERVAL + 1  # the last one ends the run
+    assert all(rows <= 2 * live - 1 for rows, live in held)
