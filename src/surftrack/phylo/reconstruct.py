@@ -6,9 +6,12 @@ records at mostly the same ranks, but migration lag makes the sets
 ragged at the edges, so reconstruction first intersects the rank sets
 across all inputs.  Every annotation then reads as an equal-length row
 of differentia values over the common ranks.  Sorted, two adjacent rows
-meet at the last common rank before their first mismatch, a lower bound
-on their divergence time, and one stack pass over those meeting ranks
-creates just the nodes where lineages branch.
+meet at the last common rank before their first mismatch, and one stack
+pass over those meeting ranks creates just the nodes where lineages
+branch.  The meeting rank is not a lower bound on their divergence
+time: after a split, b-bit differentiae still match by chance with
+probability 2**-b per rank, so at 1 bit it often falls after the true
+common ancestor.
 """
 
 from __future__ import annotations
@@ -128,12 +131,15 @@ def estimate_mrca_range(a: RecordSet, b: RecordSet) -> tuple[int, int] | None:
     """Bracket the generation of ``a`` and ``b``'s most recent common
     ancestor from their records alone.
 
-    Returns ``(last_matching_rank, first_mismatching_rank)``: the MRCA
-    lived at or after the first value, and strictly before the second.
-    When every common rank matches, the upper end is the smaller deposit
-    counter (the lineages may have diverged any time after the last
-    shared record).  Returns None when the lineages look unrelated: no
-    common ranks, or a mismatch at the very first one.  Matches beyond
+    Returns ``(last_matching_rank, first_mismatching_rank)``.  The upper
+    end is sound: a mismatch proves the MRCA lived strictly before it.
+    The lower end holds only if no match is a collision: two diverged
+    lineages still match at a rank with probability 2**-b for b-bit
+    differentiae, and each such match can put the lower end after the
+    MRCA.  When every common rank matches, the upper end is the smaller
+    deposit counter (the lineages may have diverged any time after the
+    last shared record).  Returns None when the lineages look unrelated:
+    no common ranks, or a mismatch at the very first one.  Matches beyond
     the first mismatch are spurious differentia collisions and ignored.
     """
     va, vb = a.mapping(), b.mapping()

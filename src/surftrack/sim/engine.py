@@ -89,7 +89,7 @@ class SampledGenome:
     pe_y: int
     label: str
     fields: GenomeFields
-    tracker_id: int | None = None
+    tracker_id: int | None = None  # tracker row, as it stands after run()'s final prune
 
 
 def sample_labels(xs: Sequence[int], ys: Sequence[int]) -> list[str]:
@@ -438,7 +438,7 @@ class DeterministicGrid:
         self.generation += active
         self.cycle += 1
         if self.tracker is not None and self.cycle % PRUNE_INTERVAL == 0:
-            self.tracker.prune(self._live_ids())
+            self._prune()
 
     def run(self, generations: int | None = None) -> None:
         """Cycle until every PE has taken ``generations`` more steps
@@ -448,18 +448,21 @@ class DeterministicGrid:
         while self.generation.min() < self._goal:
             self.step_cycle()
         if self.tracker is not None:
-            self.tracker.prune(self._live_ids())
+            self._prune()
+
+    def _prune(self) -> None:
+        """Prune the tracker to the lineages the grid holds: those of the
+        population, the full emigrant links and the filled stage slots.
+        Then rewrite each of those handles as its new row."""
+        occupied = np.arange(GridConfig.RECEIVE_CAPACITY) < self.stage_n[:, :, None]
+        gid, emig, stage = self.pop["gid"], self.emig["gid"], self.stage["gid"]
+        self.tracker.prune(np.concatenate([gid.ravel(), emig[self.emig_full], stage[occupied]]))
+        renumbered = self.tracker.renumbered
+        gid[...] = renumbered(gid)
+        emig[self.emig_full] = renumbered(emig[self.emig_full])
+        stage[occupied] = renumbered(stage[occupied])
 
     # -- end-state access --------------------------------------------------
-
-    def _live_ids(self) -> np.ndarray:
-        parts = [self.pop["gid"].ravel()]
-        parts.append(self.emig["gid"][self.emig_full])
-        occupied = np.arange(GridConfig.RECEIVE_CAPACITY)[None, None, :] < self.stage_n[
-            :, :, None
-        ]
-        parts.append(self.stage["gid"][occupied])
-        return np.concatenate(parts)
 
     def sample_end_state(self, per_pe: int | None = None) -> list[SampledGenome]:
         """Uniform seeded sample of ``per_pe`` genomes from every PE."""

@@ -1,33 +1,34 @@
 """Exact parent-pointer lineage records, kept compact by pruning.
 
-The tracker assigns every individual a monotonically increasing id and
-stores its parent and birth rank, appended one cohort per generation.
-Periodic pruning keeps only what the genealogy of a caller-supplied live
-set needs, which keeps memory proportional to the live population
-instead of total births.  The engine prunes every 32 cycles.
+The tracker stores each individual's parent and birth rank as one row,
+appended one cohort per generation.  Periodic pruning keeps only what
+the genealogy of a caller-supplied live set needs, which keeps memory
+proportional to the live population instead of total births.  The
+engine prunes every 32 cycles.
+
+Handles are row positions.  ``record_cohort`` takes parent rows
+(NO_PARENT for founders) and returns the new rows.  ``prune(live)``
+moves the rows it keeps to the front, in order, and returns how many
+it removed; ``renumbered(live)``, read right after it, gives the live
+rows' new positions, and every other handle from before is void.  A
+row outside [0, len(tracker)) or below NO_PARENT raises KeyError, but
+a void handle inside that range names some other row unnoticed.
 
 Storage: two column buffers, reused across prunes and grown by a
-quarter when full: each row's parent as a row position (int32,
-NO_PARENT for founders) and its birth rank (uint32), 8 bytes per row,
-plus a 4-byte stamp per buffer row, which maps rows to new positions
-while pruning and building trees.  The rows that survived the last prune come first, in id
-order, and their ids sit in a sorted side array.  Every row recorded
-since holds the next consecutive id, so from the newest survivors whose
-ids run on to them, a row's position follows from its id by one
-subtraction; older survivors need a binary search.  ``record_cohort``
-converts parent ids to positions on arrival.  Positions fit because the
-buffers stay below 2**31 rows, and ranks (deposit counters) lie in
-[0, 2**32).
+quarter when full: each row's parent row (int32, NO_PARENT for
+founders) and its birth rank (uint32), 8 bytes per row, plus a 4-byte
+stamp per buffer row, which maps rows to new positions while pruning
+and building trees.  Positions fit because the buffers stay below
+2**31 rows, and ranks (deposit counters) lie in [0, 2**32).
 
 A prune takes the closure of the live set (the rows live or ancestral
 to a live row) and keeps only its rows that are live or have two or more
 children in it, each pointing at its nearest kept ancestor: the rows in
 between are unifurcations, which ``to_tree`` would collapse anyway.  So
-at most 2L - 1 rows survive for L distinct live ids.  Each survivor's
-key is the id of the topmost row of the run it absorbed, and ``to_tree``
-orders siblings by key, as if nothing had been spliced.  After
-``prune(live)`` only the ids in ``live`` and ids recorded since may be
-named; a spliced ancestor raises KeyError, as a pruned one does.
+at most 2L - 1 rows survive for L distinct live rows.  Siblings are
+ordered by key: a row's birth serial, or for a survivor that of the
+topmost row of the run it absorbed, so ``to_tree`` orders them as if
+nothing had been spliced.
 
 The closure sweeps the rows recorded since the last prune cohort by
 cohort, newest first: every parent sits in an earlier cohort, so one
@@ -42,8 +43,6 @@ migration buffer it equals the wall-clock generation.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import numpy as np
 
@@ -91,11 +90,9 @@ class LineageTracker:
         self._parent = np.empty(0, dtype=np.int32)  # row of each row's parent
         self._rank = np.empty(0, dtype=np.uint32)
         self._n = 0  # rows held: survivors first, then rows recorded since
-        self._kept_ids = np.empty(0, dtype=np.int64)  # sorted ids of the survivors
-        self._key = np.empty(0, dtype=np.int64)  # survivors: id atop the run each absorbed
-        self._first_direct = 0  # held ids from here on sit at id - (next id - rows held)
+        self._key = np.empty(0, dtype=np.int64)  # survivors: key atop the run each absorbed
         self._cohorts: list[int] = []  # first row of each cohort recorded since
-        self._next_id = 0
+        self._births = 0  # births so far: the next row's key
         self._stamp = np.empty(0, dtype=np.int32)
         self._peak = 0  # most rows held at once, up to the last prune
         self.rows_pruned = 0  # running total over every prune
@@ -108,20 +105,17 @@ class LineageTracker:
         """The most rows held at once so far."""
         return max(self._peak, self._n)
 
-    def record_cohort(self, parents: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        """Register a batch of births; returns their new ids.
-
-        Every parent is a held id returned by an earlier call, or
-        NO_PARENT (KeyError otherwise), and every rank lies in
-        [0, 2**32) (ValueError otherwise).  A failed call records nothing.
-        """
-        parents, ranks = np.asarray(parents), np.asarray(ranks)
+    def record_cohort(self, parent_rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        """Register a batch of births; returns their rows.  Every parent
+        is a held row or NO_PARENT (KeyError otherwise), and every rank
+        lies in [0, 2**32) (ValueError otherwise).  A failed call
+        records nothing."""
+        parents, ranks = np.asarray(parent_rows), np.asarray(ranks)
         m = len(parents)
         start, end = self._n, self._n + m
         if m:
-            lo = int(parents.min())
-            if lo < NO_PARENT or parents.max() >= self._next_id:
-                raise KeyError("unknown lineage id")
+            if parents.min() < NO_PARENT or parents.max() >= start:
+                raise KeyError("no such tracker row")
             if ranks.min() < 0 or ranks.max() >= 2**32:  # ranks are uint32
                 raise ValueError("birth ranks must lie in [0, 2**32)")
         if end > len(self._parent):
@@ -130,54 +124,28 @@ class LineageTracker:
             capacity = min(max(end, len(self._parent) * 5 // 4), MAX_ROWS)
             self._parent = _resized(self._parent, start, capacity)
             self._rank = _resized(self._rank, start, capacity)
-        out = self._parent[start:end]
-        # Ids and the shift wrap to 32 bits alike, so the difference is
-        # exact for every id from _first_direct on.
-        out[:] = parents
-        out -= np.int64(self._next_id - start).astype(np.int32)
-        if m and lo < self._first_direct:  # older survivors or founders
-            old = parents < self._first_direct
-            named = parents[old]
-            real = named != NO_PARENT
-            named[real] = self._positions(named[real])
-            out[old] = named
+        self._parent[start:end] = parents
         self._rank[start:end] = ranks
         self._cohorts.append(start)
         self._n = end
-        ids = np.arange(self._next_id, self._next_id + m, dtype=np.int64)
-        self._next_id += m
-        return ids
+        self._births += m
+        return np.arange(start, end, dtype=np.int64)
 
-    def _positions(self, ids: np.ndarray) -> np.ndarray:
-        """Row positions of ``ids``; KeyError for any id not held."""
-        if not ids.size:
-            return ids
-        if ids.max() >= self._next_id:
-            raise KeyError("unknown lineage id")
-        kept = self._kept_ids
-        pos = ids - (self._next_id - self._n)
-        if ids.min() < self._first_direct:
-            old = ids < self._first_direct
-            query = ids[old]
-            at = np.searchsorted(kept, query)
-            if not kept.size or (kept[np.minimum(at, kept.size - 1)] != query).any():
-                raise KeyError("unknown lineage id")
-            pos[old] = at
-        return pos
-
-    def _id_or(self, survivors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``survivors[row]`` for each survivor row, else the row's id."""
-        out = rows + (self._next_id - self._n)
-        old = rows < self._kept_ids.size
-        out[old] = survivors[rows[old]]
+    def _key_of(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's key: a survivor's stored one, else its birth serial."""
+        out = rows + (self._births - self._n)
+        old = rows < self._key.size
+        out[old] = self._key[rows[old]]
         return out
 
-    def _ancestry(self, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rows of ``ids`` and their ancestors, sorted; the index into
-        them of each one's parent (NO_PARENT for founders) and of each
-        id's row; and the start of each cohort among them."""
-        n_old = self._kept_ids.size
-        at = self._positions(np.asarray(ids, dtype=np.int64))
+    def _ancestry(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``rows`` and their ancestors, sorted; the index into them of
+        each one's parent (NO_PARENT for founders) and of each of
+        ``rows``; and the start of each cohort among them."""
+        n_old = self._key.size
+        at = np.asarray(rows, dtype=np.int64)
+        if at.size and (at.min() < 0 or at.max() >= self._n):
+            raise KeyError("no such tracker row")
         # Every parent sits in an earlier cohort or among the survivors:
         # sweep the newest first.  A mark on a row already swept changes
         # nothing, so NO_PARENT may mark the spare last entry.
@@ -213,9 +181,9 @@ class LineageTracker:
         return rows, self._stamp[parents], self._stamp[at], blocks
 
     def prune(self, live: np.ndarray) -> int:
-        """Keep the rows live or ancestral to ``live`` that are live or
-        branch, each pointing at its nearest kept ancestor; returns rows
-        removed.  Only ``live`` and later ids may be named afterwards."""
+        """Keep, in order, the rows live or ancestral to ``live`` that are
+        live or branch, each pointing at its nearest kept ancestor;
+        returns rows removed.  NO_PARENT in ``live`` is skipped."""
         live = np.asarray(live, dtype=np.int64)
         rows, parents, at, blocks = self._ancestry(live[live != NO_PARENT])
         kept = np.bincount(parents[parents != NO_PARENT], minlength=rows.size) >= 2
@@ -223,27 +191,24 @@ class LineageTracker:
         head = rows[_chain_tops(parents, ~kept, blocks)[kept]]  # top of each kept row's run
         rows = rows[kept]
         k = rows.size
-        ids = self._id_or(self._kept_ids, rows)
-        self._key = self._id_or(self._key, head)
+        self._key = self._key_of(head)
         self._stamp[rows] = np.arange(k, dtype=np.int32)  # each kept row's new position
         self._parent[:k] = self._stamp[self._parent[head]]  # its nearest kept ancestor's
         self._rank[:k] = self._rank[rows]
         removed = self._n - k
         self._peak = max(self._peak, self._n)
         self._n = k
-        self._kept_ids = ids
-        # Kept ids that run on, one by one, to the newest id map by
-        # subtraction; ids[i] - i grows with i and reaches the shift only
-        # along that run.
-        shift = self._next_id - k
-        self._first_direct = shift + bisect_left(range(k), shift, key=lambda i: ids[i] - i)
         self._cohorts = []
         self.rows_pruned += removed
         return removed
 
+    def renumbered(self, rows: np.ndarray) -> np.ndarray:
+        """The last prune's live ``rows`` renumbered; read before the next prune or tree."""
+        return self._stamp[rows]
+
     def to_tree(
         self,
-        sample_ids: np.ndarray,
+        sample_rows: np.ndarray,
         labels: list[str],
         tags: list[int | None] | None = None,
     ) -> PhyloTree:
@@ -261,11 +226,11 @@ class LineageTracker:
         sample order, as if every row were a node and unifurcations were
         spliced out afterwards.
         """
-        if len(sample_ids) != len(labels):
-            raise ValueError("one label per sampled id")
+        if len(sample_rows) != len(labels):
+            raise ValueError("one label per sampled row")
         if tags is not None and len(tags) != len(labels):
-            raise ValueError("one tag per sampled id")
-        rows, parents, at, blocks = self._ancestry(sample_ids)
+            raise ValueError("one tag per sampled row")
+        rows, parents, at, blocks = self._ancestry(sample_rows)
         kids = np.bincount(parents[parents != NO_PARENT], minlength=rows.size)
         leaves = np.bincount(at, minlength=rows.size)
         top = _chain_tops(parents, (kids == 1) & (leaves == 0), blocks)
@@ -276,7 +241,7 @@ class LineageTracker:
         forked = np.flatnonzero(fork[at])  # sample leaves of forking rows
         # One node per chain, in order of the chain tops' keys, then the forked leaves.
         last = np.concatenate([ends, at[lone]])  # each chain's node row
-        order = np.argsort(self._id_or(self._key, rows[top[last]]))
+        order = np.argsort(self._key_of(rows[top[last]]))
         who = np.concatenate([np.full(ends.size, -1), lone])[order]  # its sample, or -1
         chains = top[last[order]]
         node = np.empty(rows.size, dtype=np.int64)  # each chain top's node

@@ -1,4 +1,9 @@
-"""Exact lineage tracking: ids, pruning, and genealogy extraction."""
+"""Exact lineage tracking: rows, pruning and renumbering, and genealogy extraction.
+
+Handles are row positions, and a prune renumbers the rows it keeps.  The
+brute-force references keep their dicts keyed by logical id (birth serial)
+and map each id the tracker must still accept to its current row.
+"""
 
 from collections import Counter
 
@@ -19,6 +24,11 @@ from _trees import canon, collapse_unifurcations
 def record_birth(tr: LineageTracker, parent_id: int, rank: int) -> int:
     """One birth, as a cohort of one."""
     return int(tr.record_cohort(np.array([parent_id]), np.array([rank]))[0])
+
+
+def row_after_prune(tr: LineageTracker, row: int) -> int:
+    """The new row of a live row of the last prune."""
+    return int(tr.renumbered(np.array([row]))[0])
 
 
 def family() -> tuple[LineageTracker, int, int, int]:
@@ -178,6 +188,7 @@ def test_peak_rows_is_the_most_rows_held_at_once():
     tr, founder, a, b = family()
     assert tr.peak_rows == 3
     tr.prune(np.array([a]))  # b dies, and the founder above a is spliced out
+    a = row_after_prune(tr, a)
     assert (len(tr), tr.peak_rows) == (1, 3)
     tr.record_cohort(np.full(4, a), np.full(4, 2))
     assert (len(tr), tr.peak_rows) == (5, 5)
@@ -192,11 +203,11 @@ def test_prune_drops_extinct_branches_and_unifurcations():
     dead_kid = m.cohort([founder])[0]
     m.cohort([dead_kid])
     keep_grandkid = m.cohort([keep_kid])[0]
-    before = m.tr.to_tree(np.array([keep_grandkid]), ["K"])
+    before = m.tr.to_tree(m.rows([keep_grandkid]), ["K"])
     m.prune([keep_grandkid])  # checks the rows removed and held against brute_spliced
     assert m.pruned == 4
     assert len(m.tr) == 1  # only the live row: its line up to the founder is unary
-    after = m.tr.to_tree(np.array([keep_grandkid]), ["K"])
+    after = m.tr.to_tree(m.rows([keep_grandkid]), ["K"])
     assert canon(after) == canon(before)
 
 
@@ -214,6 +225,7 @@ def test_prune_agrees_with_brute_force_closure(seed):
 def test_growth_continues_after_prune():
     tr, founder, a, b = family()
     tr.prune(np.array([a]))
+    a = row_after_prune(tr, a)
     c = record_birth(tr, a, 2)
     d = record_birth(tr, a, 2)
     tree = tr.to_tree(np.array([c, d]), ["C", "D"])
@@ -239,14 +251,16 @@ def test_interleaved_prunes_agree_with_a_brute_force_reference(seed):
     """Rounds of cohorts and prunes, checked against dicts after every prune.
 
     Each round's parents come both from the last prune's live ids and
-    from rows recorded since, and each live set holds a founder and
-    repeated ids.
+    from ids recorded since, and each live set holds a founder and
+    repeated ids.  Ids count births; ``row`` maps each id the tracker
+    must still accept to its current row.
     """
     rng = np.random.default_rng(seed)
     tr = LineageTracker()
     parent_of: dict[int, int] = {}
     rank_of: dict[int, int] = {}
-    held: set[int] = set()  # rows the last prune kept
+    row = {NO_PARENT: NO_PARENT}
+    held: set[int] = set()  # ids the last prune kept
     named: list[int] = []  # the last prune's live ids
     rank = 0
     pruned = 0
@@ -263,36 +277,40 @@ def test_interleaved_prunes_agree_with_a_brute_force_reference(seed):
                 ]
             )
             ranks = rank + rng.integers(0, 3, size=n)
-            ids = tr.record_cohort(parents, ranks)
-            for i, p, r in zip(ids.tolist(), parents.tolist(), ranks.tolist()):
-                parent_of[i], rank_of[i] = p, r
-            recent.extend(ids.tolist())
+            rows = tr.record_cohort([row[p] for p in parents.tolist()], ranks)
+            ids = range(len(parent_of), len(parent_of) + n)
+            for i, r, p, k in zip(ids, rows.tolist(), parents.tolist(), ranks.tolist()):
+                parent_of[i], row[i], rank_of[i] = p, r, k
+            recent.extend(ids)
             rank += 3
         candidates = survivors + recent
         founders = [i for i in candidates if parent_of[i] == NO_PARENT]
         live = rng.choice(candidates, size=int(rng.integers(1, 12)))
         live = np.concatenate([live, live[:3], founders[:1]])
         expected = brute_spliced(parent_of, live)
-        assert tr.prune(live) == len(held) + len(recent) - len(expected)
+        live_rows = np.array([row[i] for i in live.tolist()])
+        assert tr.prune(live_rows) == len(held) + len(recent) - len(expected)
         pruned += len(held) + len(recent) - len(expected)
         held = expected
         named = sorted(set(live.tolist()))
+        row = {NO_PARENT: NO_PARENT, **dict(zip(live.tolist(), tr.renumbered(live_rows).tolist()))}
         assert len(tr) == len(held)
         assert len(tr) <= 2 * len(named) - 1  # every kept row that is not live branches
         assert tr.rows_pruned == pruned
         sample = rng.choice(named, size=int(rng.integers(1, 10)))
         sample = np.concatenate([sample, sample[:2]])
         labels = [f"s{k}" for k in range(len(sample))]
-        assert tr.to_tree(sample, labels) == brute_tree(parent_of, rank_of, sample, labels)
+        got = tr.to_tree(np.array([row[i] for i in sample.tolist()]), labels)
+        assert got == brute_tree(parent_of, rank_of, sample, labels)
 
 
-@pytest.mark.parametrize("case", ["past-next-id", "negative", "pruned-away", "spliced-out"])
+@pytest.mark.parametrize("case", ["past-the-end", "negative"])
 @pytest.mark.parametrize("method", ["prune", "to_tree", "record_cohort"])
 def test_ids_not_held_are_rejected(method, case):
     tr, founder, a, b = family()
     tr.prune(np.array([a]))  # drops b and splices out the founder
-    c = record_birth(tr, a, 2)
-    bad = {"past-next-id": c + 1, "negative": -2, "pruned-away": b, "spliced-out": founder}[case]
+    c = record_birth(tr, row_after_prune(tr, a), 2)
+    bad = {"past-the-end": c + 1, "negative": -2}[case]
     ids = np.array([c, bad])
     with pytest.raises(KeyError):
         if method == "prune":
@@ -302,7 +320,7 @@ def test_ids_not_held_are_rejected(method, case):
         else:
             tr.record_cohort(ids, np.full(2, 3))
     assert len(tr) == 2  # a failed call leaves the records alone
-    d = record_birth(tr, c, 3)  # and the next id is still the next one
+    d = record_birth(tr, c, 3)  # and the next row is still the next one
     assert d == c + 1
 
 
@@ -333,12 +351,14 @@ def test_rows_held_are_capped(monkeypatch):
 class Mirror:
     """A tracker and a plain-dict reference, driven in lockstep.
 
-    Every prune is checked for the rows it drops, the rows it holds
-    (against :func:`brute_spliced`, and at most two per live id) and the
-    running total; ``check_tree`` compares ``to_tree`` with
-    :func:`brute_tree`, child order included.  ``named`` holds the ids
-    the tracker must still accept: the last prune's live ids and every
-    id recorded since.
+    Callers name lineages by id, which counts births.  Every prune is
+    checked for the rows it drops, the rows it holds (against
+    :func:`brute_spliced`, and at most two per live id), the running
+    total and the renumbering, which puts each live id at its place
+    among the held ids in id order; ``check_tree`` compares ``to_tree``
+    with :func:`brute_tree`, child order included.  ``named`` holds the
+    ids the tracker must still accept: the last prune's live ids and
+    every id recorded since; ``row`` maps each to its current row.
     """
 
     def __init__(self) -> None:
@@ -347,14 +367,19 @@ class Mirror:
         self.rank_of: dict[int, int] = {}
         self.held: set[int] = set()
         self.named: set[int] = set()
+        self.row = {NO_PARENT: NO_PARENT}
         self.pruned = 0
+
+    def rows(self, ids) -> np.ndarray:
+        return np.array([self.row[int(i)] for i in ids], dtype=np.int64)
 
     def cohort(self, parents) -> list[int]:
         parents = np.asarray(parents, dtype=np.int64).reshape(-1)
         ranks = np.array([self.rank_of.get(int(p), -1) + 1 for p in parents], dtype=np.int64)
-        ids = self.tr.record_cohort(parents, ranks).tolist()
-        for i, p, r in zip(ids, parents.tolist(), ranks.tolist()):
-            self.parent_of[i], self.rank_of[i] = p, r
+        rows = self.tr.record_cohort(self.rows(parents), ranks).tolist()
+        ids = list(range(len(self.parent_of), len(self.parent_of) + len(rows)))
+        for i, r, p, k in zip(ids, rows, parents.tolist(), ranks.tolist()):
+            self.parent_of[i], self.row[i], self.rank_of[i] = p, r, k
         self.held.update(ids)
         self.named.update(ids)
         return ids
@@ -370,9 +395,14 @@ class Mirror:
     def prune(self, live) -> None:
         expected = brute_spliced(self.parent_of, live)
         removed = len(self.held) - len(expected)
-        assert self.tr.prune(np.asarray(live, dtype=np.int64)) == removed
+        live_rows = self.rows(live)
+        assert self.tr.prune(live_rows) == removed
         self.held = expected
         self.named = {int(x) for x in live}
+        renumbered = self.tr.renumbered(live_rows).tolist()
+        self.row = {NO_PARENT: NO_PARENT, **dict(zip(map(int, live), renumbered))}
+        at = {i: k for k, i in enumerate(sorted(expected))}  # kept rows stay in id order
+        assert all(self.row[i] == at[i] for i in self.named)
         self.pruned += removed
         assert len(self.tr) == len(expected)
         assert len(self.tr) <= max(2 * len(self.named) - 1, 0)
@@ -381,7 +411,7 @@ class Mirror:
     def check_tree(self, sample) -> None:
         sample = [int(s) for s in sample]
         labels = [f"s{k}" for k in range(len(sample))]
-        got = self.tr.to_tree(np.array(sample, dtype=np.int64), labels)
+        got = self.tr.to_tree(self.rows(sample), labels)
         got.validate()
         want = brute_tree(self.parent_of, self.rank_of, sample, labels)
         assert got == want
@@ -392,9 +422,8 @@ def test_one_cohort_names_survivors_recent_rows_and_founders():
     founders = m.cohort([NO_PARENT] * 3)
     line = m.chain(founders[0], 5)
     side = m.cohort([founders[1], line[2]])
-    # founders[0] and founders[1] survive ahead of an unbroken run of ids
-    # that ends at the newest row; founders[2] is dropped, and line[0]
-    # and line[3] are spliced out.
+    # founders[0] and founders[1] survive, founders[2] is dropped, and
+    # line[0] and line[3] are spliced out.
     m.prune([line[-1], side[0], side[1], line[1], founders[0], founders[1]])
     recent = m.cohort([line[-1], side[1], founders[1]])
     mixed = m.cohort(
@@ -538,3 +567,63 @@ def test_a_tracked_grid_holds_at_most_two_rows_per_live_id(monkeypatch):
     grid.run()
     assert len(held) == 300 // engine.PRUNE_INTERVAL + 1  # the last one ends the run
     assert all(rows <= 2 * live - 1 for rows, live in held)
+
+
+def assert_handles_are_rows(grid: DeterministicGrid) -> int:
+    """Every handle the grid holds names a row of its tracker born at the
+    rank its genome's counter implies; returns how many are in transit."""
+    tr = grid.tracker
+    occupied = np.arange(GridConfig.RECEIVE_CAPACITY) < grid.stage_n[:, :, None]
+    held = [(grid.pop["gid"], grid.pop["counter"])]
+    held.append((grid.emig["gid"][grid.emig_full], grid.emig["counter"][grid.emig_full]))
+    held.append((grid.stage["gid"][occupied], grid.stage["counter"][occupied]))
+    gid = np.concatenate([g.ravel() for g, _ in held])
+    counter = np.concatenate([c.ravel() for _, c in held])
+    assert ((0 <= gid) & (gid < len(tr))).all()
+    # A genome's counter has run one past its birth rank since its first
+    # deposit; a founder that has not stepped yet is born at rank 0.
+    labels = [str(k) for k in range(gid.size)]
+    born = {leaf.label: leaf.origin_time for leaf in tr.to_tree(gid, labels).leaves()}
+    assert [born[k] for k in labels] == np.maximum(counter - 1, 0).tolist()
+    return gid.size - grid.pop["gid"].size
+
+
+@pytest.mark.parametrize(
+    "asynchronous, config",
+    [
+        (False, GridConfig(4, 4, 100, population=8, layout="fitness", track_perfect=True)),
+        (True, GridConfig(3, 3, 100, population=4, loss_rate=0.2, track_perfect=True)),
+    ],
+    ids=["lockstep", "async-lossy"],
+)
+def test_every_handle_a_tracked_grid_holds_is_a_current_row(monkeypatch, asynchronous, config):
+    """The engine renumbers its handles at every prune: in the population,
+    in the full emigrant links and in the filled stage slots."""
+    grid = DeterministicGrid(config, asynchronous=asynchronous)
+    step = grid.step_cycle
+    in_transit = []
+
+    def checked():
+        step()
+        if grid.cycle % engine.PRUNE_INTERVAL == 0:
+            in_transit.append(assert_handles_are_rows(grid))
+
+    monkeypatch.setattr(grid, "step_cycle", checked)
+    grid.run()
+    in_transit.append(assert_handles_are_rows(grid))  # after the final prune
+    assert len(in_transit) >= 4 and min(in_transit) > 0
+    samples = grid.sample_end_state()
+    assert all(0 <= s.tracker_id < len(grid.tracker) for s in samples)
+
+
+def test_prune_renumbers_the_live_rows_in_their_order():
+    tr, founder, a, b = family()
+    c, d = tr.record_cohort(np.array([b, a]), np.array([2, 2]))
+    live = np.array([d, b, d, NO_PARENT, founder])
+    assert tr.prune(live) == 2  # c dies, and a, with one child, is spliced out
+    assert tr.renumbered(live).tolist() == [2, 1, 2, NO_PARENT, 0]
+    # d's run starts at a, born before b, so it still comes first.
+    tree = tr.to_tree(np.array([2, 1, 0]), ["D", "B", "F"])
+    assert tree.parent == [-1, 0, 0, 0]
+    assert tree.label == [None, "D", "B", "F"]
+    assert tree.origin_time == [0.0, 2.0, 1.0, 0.0]
