@@ -11,6 +11,7 @@ import argparse
 import csv
 import glob
 import io
+import math
 import os
 import sys
 import time
@@ -381,6 +382,8 @@ def _metric_values(pattern: str, metric: str) -> list[float]:
                 if len(row) > max(mi, vi) and row[mi] == metric:
                     try:
                         values.append(float(row[vi]))
+                        if not math.isfinite(values[-1]):
+                            raise ValueError(f"not a finite number: {row[vi]!r}")
                     except ValueError as err:
                         raise ValueError(f"{path}: row {rownum}, field 'value': {err}") from None
     return values

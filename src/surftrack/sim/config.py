@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from ..surface.genome import GenomeLayout
@@ -55,8 +56,9 @@ class Treatment:
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {p}")
         for name in ("deleterious_sigma", "beneficial_sigma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            sigma = getattr(self, name)
+            if not (math.isfinite(sigma) and sigma >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {sigma}")
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,12 @@ same direction-major order, so these draws sit where a per-direction
 loop would take them.  When two of a PE's inject writes pick the same
 population slot, the last write in N, E, S, W then arrival order wins,
 as if the writes were made one at a time.
+
+Each lane holds its surface as packed uint64 words at every differentia
+width: slot j's field, ``stride`` bits wide (the width rounded up to a
+power of two, so no field crosses a word), starts at bit ``j * stride``.
+A deposit writes one field through its rank's row of word masks, all
+zero for a rank the policy discards.
 """
 
 from __future__ import annotations
@@ -158,18 +164,17 @@ class DeterministicGrid:
         self._cand_steps = np.arange(K, dtype=np.uint64) * np.uint64(n)
         self._tie_steps = np.arange(K * n, 2 * K * n, dtype=np.uint64)  # tie draws in a block
         self._tie_cols = np.tile(np.arange(n, dtype=np.uint64), K)  # j of each tie draw
-        # Per-rank deposit lookups, built on first use and grown on demand;
-        # slot -1 marks a rank the policy discards.
-        self._rank_slot = np.empty(0, dtype=np.int64)
-        self._rank_mask = np.empty(0, dtype=np.uint64)
+        w = config.differentia_bits  # the surface words: see the module docstring
+        self._stride = 1 << (w - 1).bit_length()
+        self._field = np.uint64((1 << w) - 1)
+        self._spread = np.uint64(sum(1 << k for k in range(0, 64, self._stride)))
+        words = -(-config.slot_count * self._stride // 64)
+        # Per-rank deposit masks, one row of words per rank, built on first
+        # use and grown on demand; a rank the policy discards has all zeros.
+        self._rank_mask = np.zeros((0, words), dtype=np.uint64)
 
-        w = config.differentia_bits
-        if w == 1 and config.slot_count <= 64:
-            surf_shape, surf_dtype = (), np.uint64
-        else:
-            surf_shape, surf_dtype = (config.slot_count,), np.uint8
         self.pop: dict[str, np.ndarray] = {
-            "surf": np.zeros((P, K) + surf_shape, dtype=surf_dtype),
+            "surf": np.zeros((P, K, words), dtype=np.uint64),
             "counter": np.zeros((P, K), dtype=np.int64),
         }
         if config.layout == "tagged":
@@ -373,25 +378,22 @@ class DeterministicGrid:
             fit[hit] += (streams.normal_magnitudes(u1, u2) * sigma).astype(np.float32)
 
     def _rank_tables(self, top: int) -> None:
-        """Make the per-rank deposit lookups cover ranks 0..top, at least
+        """Make the per-rank deposit masks cover ranks 0..top, at least
         doubling their length whenever they grow."""
-        have = len(self._rank_slot)
+        have = len(self._rank_mask)
         if top < have:
             return
         cfg = self.config
         ranks = range(have, max(2 * have, top + 1))
         placed = [site(cfg.policy, r, cfg.slot_count) for r in ranks]
         slots = np.array([-1 if s is None else s for s in placed], dtype=np.int64)
-        self._rank_slot = np.concatenate([self._rank_slot, slots])
-        if self.pop["surf"].ndim == 2:
-            # A zero mask leaves a discarded rank's 1-bit surface as it is.
-            bit = np.uint64(1) << np.maximum(slots, 0).astype(np.uint64)
-            mask = np.where(slots >= 0, bit, np.uint64(0))
-            self._rank_mask = np.concatenate([self._rank_mask, mask])
+        rows = np.flatnonzero(slots >= 0)
+        bit = slots[rows] * self._stride
+        mask = np.zeros((len(ranks), self._rank_mask.shape[1]), dtype=np.uint64)
+        mask[rows, bit // 64] = self._field << (bit % 64).astype(np.uint64)
+        self._rank_mask = np.concatenate([self._rank_mask, mask])
 
     def _deposit(self, pop: dict[str, np.ndarray], ids: np.ndarray) -> None:
-        cfg = self.config
-        K, S = cfg.population, cfg.slot_count
         counters = pop["counter"]
         top = int(counters.max())
         if top >= self.layout.counter_capacity - 1:
@@ -400,21 +402,13 @@ class DeterministicGrid:
                 "shorten the run or widen the counter field"
             )
         self._rank_tables(top)
-        draws = self.bank.draw(ids, K)
+        draws = self.bank.draw(ids, self.config.population)
+        draws &= self._field
+        draws *= self._spread  # the value copied into every field of the word
         surf = pop["surf"]
-        if surf.ndim == 2:
-            mask = self._rank_mask.take(counters)
-            draws &= np.uint64(1)
-            draws *= mask  # the new bit, already in place
-            np.invert(mask, out=mask)
-            surf &= mask
-            surf |= draws
-        else:
-            vals = (draws & np.uint64((1 << cfg.differentia_bits) - 1)).astype(np.uint8)
-            slot = self._rank_slot.take(counters)
-            stored = slot >= 0
-            flat = (self._row_base[: len(ids)] + np.arange(K)) * S + slot
-            np.put(surf, flat[stored], vals[stored])
+        flips = surf ^ draws[..., None]
+        flips &= self._rank_mask.take(counters, axis=0)
+        surf ^= flips  # the masked field takes the new value; the rest stay
         counters += 1
 
     def step_cycle(self) -> None:
@@ -474,10 +468,10 @@ class DeterministicGrid:
             name: arr.reshape((-1,) + arr.shape[2:]).take(lanes, axis=0)
             for name, arr in self.pop.items()
         }
-        surf = col["surf"]
-        if surf.ndim == 1:  # 1-bit surfaces: slot j is bit j of the word
-            octets = surf.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-            surf = np.unpackbits(octets, axis=1, count=cfg.slot_count, bitorder="little")
+        # Slot j's field starts at bit j * stride of the little-endian octets.
+        at = np.arange(cfg.slot_count) * self._stride
+        octets = col["surf"].astype("<u8", copy=False).view(np.uint8).reshape(len(lanes), -1)
+        surf = (octets[:, at >> 3] >> (at & 7).astype(np.uint8)) & np.uint8(self._field)
         fields = GenomeColumns(col["counter"], surf, col.get("tag"), col.get("fit")).to_fields()
         pe = np.repeat(self._all, k)
         xs, ys = (pe % cfg.width).tolist(), (pe // cfg.width).tolist()

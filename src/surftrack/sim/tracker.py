@@ -21,14 +21,15 @@ stamp per buffer row, which maps rows to new positions while pruning
 and building trees.  Positions fit because the buffers stay below
 2**31 rows, and ranks (deposit counters) lie in [0, 2**32).
 
-A prune takes the closure of the live set (the rows live or ancestral
-to a live row) and keeps only its rows that are live or have two or more
-children in it, each pointing at its nearest kept ancestor: the rows in
-between are unifurcations, which ``to_tree`` would collapse anyway.  So
-at most 2L - 1 rows survive for L distinct live rows.  Siblings are
-ordered by key: a row's birth serial, or for a survivor that of the
-topmost row of the run it absorbed, so ``to_tree`` orders them as if
-nothing had been spliced.
+A prune and ``to_tree`` share one splice.  It takes the closure of a
+set of rows (the rows in it or ancestral to one of them) and keeps only
+the rows in the set or with two or more children in the closure, each
+pointing at its nearest kept ancestor: the rows in between are
+unifurcations.  So at most 2L - 1 rows survive for L distinct rows in
+the set.  Siblings are ordered by key: a row's birth serial, or for a
+survivor that of the topmost row of the run it absorbed, so a prune
+changes no tree.  ``to_tree`` is a splice to the samples, laid out one
+node per kept row in key order.
 
 The closure sweeps the rows recorded since the last prune cohort by
 cohort, newest first: every parent sits in an earlier cohort, so one
@@ -180,20 +181,28 @@ class LineageTracker:
         blocks = np.searchsorted(rows, self._cohorts).tolist()
         return rows, self._stamp[parents], self._stamp[at], blocks
 
+    def _splice(self, live: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows live or branching in the closure of ``live``, in order;
+        the position among them of each one's nearest kept ancestor
+        (NO_PARENT for none); the head of the run each absorbed; and the
+        position of each of ``live``."""
+        rows, parents, at, blocks = self._ancestry(live)
+        kept = np.bincount(parents[parents != NO_PARENT], minlength=rows.size) >= 2
+        kept[at] = True
+        head = rows[_chain_tops(parents, ~kept, blocks)[kept]]
+        rows = rows[kept]
+        self._stamp[rows] = np.arange(rows.size, dtype=np.int32)  # each kept row's position
+        return rows, self._stamp[self._parent[head]], head, self._stamp[live]
+
     def prune(self, live: np.ndarray) -> int:
         """Keep, in order, the rows live or ancestral to ``live`` that are
         live or branch, each pointing at its nearest kept ancestor;
         returns rows removed.  NO_PARENT in ``live`` is skipped."""
         live = np.asarray(live, dtype=np.int64)
-        rows, parents, at, blocks = self._ancestry(live[live != NO_PARENT])
-        kept = np.bincount(parents[parents != NO_PARENT], minlength=rows.size) >= 2
-        kept[at] = True
-        head = rows[_chain_tops(parents, ~kept, blocks)[kept]]  # top of each kept row's run
-        rows = rows[kept]
+        rows, up, head, _ = self._splice(live[live != NO_PARENT])
         k = rows.size
         self._key = self._key_of(head)
-        self._stamp[rows] = np.arange(k, dtype=np.int32)  # each kept row's new position
-        self._parent[:k] = self._stamp[self._parent[head]]  # its nearest kept ancestor's
+        self._parent[:k] = up
         self._rank[:k] = self._rank[rows]
         removed = self._n - k
         self._peak = max(self._peak, self._n)
@@ -219,39 +228,30 @@ class LineageTracker:
         origin is the sample's birth rank; internal nodes carry their
         individual's birth rank.
 
-        One node stands for each chain of the sample's ancestry, counting
-        sample leaves as children: the chain's last row where it branches,
-        else the lone sample leaf it ends in.  Children come in the order
-        of their chains' top keys, then the row's own sample leaves in
-        sample order, as if every row were a node and unifurcations were
-        spliced out afterwards.
+        The tree is a splice to the samples, one node per kept row in key
+        order.  A row sampled once and with no children is its sample's
+        leaf; any other sampled row gets its sample leaves, in sample
+        order, after its other children.
         """
         if len(sample_rows) != len(labels):
             raise ValueError("one label per sampled row")
         if tags is not None and len(tags) != len(labels):
             raise ValueError("one tag per sampled row")
-        rows, parents, at, blocks = self._ancestry(sample_rows)
-        kids = np.bincount(parents[parents != NO_PARENT], minlength=rows.size)
-        leaves = np.bincount(at, minlength=rows.size)
-        top = _chain_tops(parents, (kids == 1) & (leaves == 0), blocks)
-        time = self._rank[rows].astype(np.float64)
-        fork = kids + leaves >= 2  # rows that stay nodes
-        ends = np.flatnonzero(fork)
-        lone = np.flatnonzero(~fork[at])  # samples that end a chain alone
-        forked = np.flatnonzero(fork[at])  # sample leaves of forking rows
-        # One node per chain, in order of the chain tops' keys, then the forked leaves.
-        last = np.concatenate([ends, at[lone]])  # each chain's node row
-        order = np.argsort(self._key_of(rows[top[last]]))
-        who = np.concatenate([np.full(ends.size, -1), lone])[order]  # its sample, or -1
-        chains = top[last[order]]
-        node = np.empty(rows.size, dtype=np.int64)  # each chain top's node
-        node[chains] = np.arange(chains.size)
-        anchor = np.concatenate([parents[chains], at[forked]])  # a row on the parent's chain
-        up = np.where(anchor == NO_PARENT, -1, node[top[anchor]])
-        who = np.concatenate([who, forked]).tolist()
+        rows, up, head, at = self._splice(sample_rows)
+        k = rows.size
+        kids = np.bincount(up[up != NO_PARENT], minlength=k)
+        lone = ((kids == 0) & (np.bincount(at, minlength=k) == 1))[at]  # leaf is its row's node
+        who = np.full(k, -1)  # each row node's sample, or -1
+        who[at[lone]] = np.flatnonzero(lone)
+        hung = np.flatnonzero(~lone)  # the other samples, hung below their row's node
+        order = np.argsort(self._key_of(head))
+        node = np.full(k + 1, NO_PARENT)  # each kept row's node; the spare maps NO_PARENT
+        node[order] = np.arange(k)
+        anchor = np.concatenate([up[order], at[hung]])
+        who = np.concatenate([who[order], hung]).tolist()
         return PhyloTree.from_parents(
-            up.tolist(),
-            time[np.concatenate([last[order], at[forked]])].tolist(),
-            [None if k < 0 else labels[k] for k in who],
-            [None if k < 0 or tags is None else tags[k] for k in who],
+            node[anchor].tolist(),
+            self._rank[rows[np.concatenate([order, at[hung]])]].astype(np.float64).tolist(),
+            [None if i < 0 else labels[i] for i in who],
+            [None if i < 0 or tags is None else tags[i] for i in who],
         )

@@ -627,6 +627,20 @@ def test_compare_names_the_file_row_and_field_of_a_bad_value(tmp_path, capsys):
     assert "'abc'" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_compare_refuses_a_non_finite_value(tmp_path, capsys, value):
+    (tmp_path / "a.csv").write_text("tree,metric,value\nt,sbl,1\n")
+    (tmp_path / "b.csv").write_text(f"tree,metric,value\nt,sbl,{value}\n")
+    rc = main(
+        ["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+         "--metric", "sbl"]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"error: {tmp_path / 'b.csv'}: row 2, field 'value': " in captured.err
+    assert "cliffs_delta" not in captured.out
+
+
 # -- oracle ----------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """GridConfig and Treatment validation plus dict round trips."""
 
+import math
+
 import pytest
 
 from surftrack.sim.config import ConfigError, GridConfig, Treatment
@@ -38,11 +40,20 @@ def test_defaults_validate():
         dict(differentia_bits=0),
         dict(differentia_bits=16),
         dict(tournament_size=GridConfig.MAX_TOURNAMENT + 1),
+        dict(layout="fitness", treatment=Treatment("purifying", deleterious_sigma=math.nan)),
+        dict(layout="fitness", treatment=Treatment("adaptive", beneficial_sigma=math.inf)),
     ],
 )
 def test_rejections(kw):
     with pytest.raises(ConfigError):
         ok(**kw)
+
+
+@pytest.mark.parametrize("key", ["deleterious_sigma", "beneficial_sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_sigma_is_refused_by_name(key, value):
+    with pytest.raises(ConfigError, match=key):
+        Treatment("adaptive", **{key: value}).validate()
 
 
 def test_tagged_layout_needs_neutral_treatment():

@@ -127,15 +127,18 @@ def test_running_past_the_configured_generations_continues_the_run(overrides):
         assert np.array_equal(split.pop[name], whole.pop[name]), name
 
 
-@pytest.mark.parametrize("bits", [1, 8], ids=["word", "byte"])
+@pytest.mark.parametrize("slots", [16, 128])
+@pytest.mark.parametrize("bits", [1, 3, 8])
 @pytest.mark.parametrize("policy", ["steady", "tilted", "hybrid"])
-def test_engine_deposits_where_the_reference_places(policy, bits):
+def test_engine_deposits_where_the_reference_places(policy, bits, slots):
     """A lone genome's end-state surface equals a SurfaceAnnotation fed the
     differentiae it drew.  Runs in several calls past the configured length,
-    so the engine's per-rank deposit table grows several times."""
+    so the engine's per-rank deposit table grows several times.  A 3-bit
+    field pads to a 4-bit stride, and 1-bit surfaces of 128 slots and all
+    wider ones span several words."""
     config = GridConfig(
         width=1, height=1, generations=5, population=1, policy=policy,
-        slot_count=16, differentia_bits=bits,
+        slot_count=slots, differentia_bits=bits,
     )
     eng = DeterministicGrid(config)
     for todo in (None, 7, 40, None):

@@ -6,7 +6,8 @@ tracked runs) is pinned, so any change to which draws are taken, in
 what order, or how they are used shows up here.  Together the cases
 cover every branch of the tournament, mutation and deposit stages:
 tagged and fitness layouts, all-tie tournaments, each treatment and
-policy, the 8-bit surface, in-transit loss, the torus and tracking.
+policy, the 8-bit surface, a 3-bit surface of 128 slots, in-transit
+loss, the torus and tracking.
 ``tagged-tracked-400`` runs 400 lockstep cycles, so the engine prunes
 the tracker ``400 // PRUNE_INTERVAL`` times (twelve at 32 cycles) before
 the final prune, and its tree hash checks the lineage records across
@@ -30,6 +31,10 @@ tree.  Its hashes were recorded with the trie-based builder that
 preceded the sorted-row one, so they check that the two agree.  Every
 tree these cases build, tracked or reconstructed, must also pass
 ``PhyloTree.validate``.
+
+The ``tagged-3bit-128`` hashes were recorded with the per-slot uint8
+surface form that preceded the engine's packed words at every width,
+so they check that the two agree.
 
 To regenerate after a deliberate protocol change, run this module as a
 script with the package on the path; it prints the new tables.
@@ -68,6 +73,7 @@ CASES = {
         slot_count=16,
         treatment=Treatment(mode="purifying"),
     ),
+    "tagged-3bit-128": dict(differentia_bits=3, slot_count=128),
     "tagged-lossy-torus-tracked": dict(
         loss_rate=0.3, torus=True, track_perfect=True, population=6
     ),
@@ -101,6 +107,9 @@ GOLDEN = {
     "purifying-8bit": {
         "genomes.csv": "9d88b6488d979838a4d9299fc489c8724217514af18331169b10fccaa9c84d40",
     },
+    "tagged-3bit-128": {
+        "genomes.csv": "71d05ca2bee8e9d78260ed42a06c808763f8959a86b897bb69705db6d48f466a",
+    },
     "tagged-lossy-torus-tracked": {
         "genomes.csv": "782d47fe25afc271c0153d18c7bb782a7693b5f5c0961625bcf94aad086bc2d1",
         "perfect_tree.csv": "8f36bedc8ba048c11291dc28a7d731c6da58fd8e67278ae86ff41468e483ca47",
@@ -127,6 +136,7 @@ DECODED = {
     "fitness-neutral": "1ef36d264854645678ce6657cf243aac0097083c4b4b7b4911750eaa2f07ee51",
     "purifying-8bit": "622bff8a84a1992315f98eb22aecd5d2c8c99fe095ea8116704bd869648cdac8",
     "purifying-steady": "880cc00e8b089bb7282280f84101405dea923cc322b90170cf682c743b46eff1",
+    "tagged-3bit-128": "e58c30f6e19927ae28ed68f3d4546fa613d8386d123868c208242a78e202ea75",
     "tagged-lossy-torus-tracked": "5ce57d921d72eb94ffd17484ee9641a548980165ba7a454404b1704e9345465d",
     "tagged-neutral": "c15cc1e752e6456854c3b3720ec046564f166266f0b5a8d47952c4fdccdf3f49",
     "tagged-tracked-400": "fb22c52b42f8b2aede72e655a3f684b93ed9ff32e7e639acf1a29b361d93ee3b",
@@ -140,6 +150,7 @@ RECONSTRUCTED = {
     "fitness-neutral": "e49db231748eaa6d8e1fecb91fe14899fb78ff36b7d782d9f141c292ba451a13",
     "purifying-8bit": "c651fd31e4604b5900de00d07258bf92da7fcd365364bdbff77e6df9d0a6f9b8",
     "purifying-steady": "13e6db0277e5c7da6e14e8c11b2cee085446bd448871f903fdabe4b8c1b5fabe",
+    "tagged-3bit-128": "c830de54f8b20762df91ca9a1a6624cf8978f5dcc84dfeb49d6edd5c2311e467",
     "tagged-lossy-torus-tracked": "629cf1c0f52fde186f0db569546a7ea48f571c2d454f7697da844c4807570f51",
     "tagged-neutral": "4b83a995517b8b705da3091143fe8d61ae8649e897eb7e83c39f4d3321829184",
     "tagged-tracked-400": "624bb2b376e3515ffcfbb53615a6df500d7a0cf717ffe5eb6b1f5c05882d66b1",
