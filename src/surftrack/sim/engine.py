@@ -71,7 +71,7 @@ from .tracker import NO_PARENT, LineageTracker
 DIRECTIONS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 OPPOSITE = (2, 3, 0, 1)
 
-PRUNE_INTERVAL = 32
+PRUNE_INTERVAL = 8
 
 #: How many generations a PE may run ahead of its slowest neighbor in
 #: asynchronous mode.  Without a cap one PE could finish before its

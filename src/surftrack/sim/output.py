@@ -9,6 +9,8 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import __version__
 from ..surface.annotation import RecordSet, surface_records
 from ..surface.genome import GenomeLayout, pack_genomes, unpack_genomes
@@ -71,10 +73,12 @@ def read_genomes_csv(
 
     Labels come from :func:`~.engine.sample_labels` in file order, as the
     simulator labels its samples.  The redundant counter column must
-    agree with the packed counter.  A decode error names the row and the
-    field it failed on.  Every row's fields are parsed first, so a
-    malformed field anywhere is reported before a counter disagreement;
-    then all genomes decode in one pass.
+    agree with the packed counter, and so must the redundant
+    ``founder_tag`` or ``fitness`` column, when present, with the packed
+    one (fitness compared as float32, a NaN agreeing with a NaN).  A
+    decode error names the row and the field it failed on.  Every row's
+    fields are parsed first, so a malformed field anywhere is reported
+    before a disagreement; then all genomes decode in one pass.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -89,15 +93,19 @@ def read_genomes_csv(
     def genome(cell: str) -> bytes:
         return layout.check_length(bytes.fromhex(cell))
 
+    tagged = layout.kind == "tagged"
+    extra = ("founder_tag", int) if tagged else ("fitness", float)
     fields = (("pe_x", int), ("pe_y", int), ("counter", int), ("genome_hex", genome))
+    if extra[0] in cols:
+        fields += (extra,)
     rownums: list[int] = []
-    parsed: list[tuple[int, int, int, bytes]] = []
+    parsed: list[tuple] = []
     for rownum, row in enumerate(reader, start=2):
         if not "".join(row).strip():
             continue
         rownums.append(rownum)
         parsed.append(tuple(_cell(row, cols, rownum, *field) for field in fields))
-    xs, ys, counters, blobs = zip(*parsed) if parsed else ((), (), (), ())
+    xs, ys, counters, blobs, *said = zip(*parsed) if parsed else ((),) * len(fields)
     genomes = unpack_genomes(layout, b"".join(blobs))
     for rownum, counter, packed in zip(rownums, counters, genomes.counter.tolist()):
         if packed != counter:
@@ -105,6 +113,17 @@ def read_genomes_csv(
                 f"row {rownum}: counter column says {counter} but genome "
                 f"encodes {packed}"
             )
+    if said:
+        said, packed = said[0], genomes.founder_tag if tagged else genomes.fitness
+        if not tagged:
+            with np.errstate(over="ignore"):  # a float32 overflow reads inf, and disagrees
+                said = np.array(said, dtype=np.float32).tolist()
+        for rownum, value, encoded in zip(rownums, said, packed.tolist()):
+            if value != encoded and not (value != value and encoded != encoded):
+                raise GenomesCsvError(
+                    f"row {rownum}, field {extra[0]!r}: column says {value!r} but "
+                    f"genome encodes {encoded!r}"
+                )
     records = surface_records(policy, layout.slot_count, genomes.counter, genomes.surface)
     none = [None] * len(blobs)
     tags = none if genomes.founder_tag is None else genomes.founder_tag.tolist()

@@ -4,7 +4,8 @@ The tracker stores each individual's parent and birth rank as one row,
 appended one cohort per generation.  Periodic pruning keeps only what
 the genealogy of a caller-supplied live set needs, which keeps memory
 proportional to the live population instead of total births.  The
-engine prunes every 32 cycles.
+engine prunes every 8 cycles, so the rows held peak at the survivors
+plus 8 cohorts: about 10 rows per agent on a 16x16 grid of 32.
 
 Handles are row positions.  ``record_cohort`` takes parent rows
 (NO_PARENT for founders) and returns the new rows.  ``prune(live)``
@@ -17,9 +18,10 @@ a void handle inside that range names some other row unnoticed.
 Storage: two column buffers, reused across prunes and grown by a
 quarter when full: each row's parent row (int32, NO_PARENT for
 founders) and its birth rank (uint32), 8 bytes per row, plus a 4-byte
-stamp per buffer row, which maps rows to new positions while pruning
-and building trees.  Positions fit because the buffers stay below
-2**31 rows, and ranks (deposit counters) lie in [0, 2**32).
+scratch stamp per buffer row.  While pruning and building trees the
+stamp first counts each row's children, then maps rows to new
+positions.  Positions fit because the buffers stay below 2**31 rows,
+and ranks (deposit counters) lie in [0, 2**32).
 
 A prune and ``to_tree`` share one splice.  It takes the closure of a
 set of rows (the rows in it or ancestral to one of them) and keeps only
@@ -31,12 +33,16 @@ survivor that of the topmost row of the run it absorbed, so a prune
 changes no tree.  ``to_tree`` is a splice to the samples, laid out one
 node per kept row in key order.
 
-The closure sweeps the rows recorded since the last prune cohort by
-cohort, newest first: every parent sits in an earlier cohort, so one
-pass over each cohort's mask marks its marked rows' parents, and the
-survivors they reach are climbed with a visited mask.  So a prune costs
-in proportion to the rows recorded since the last one plus the
-survivors.
+The splice sweeps the rows recorded since the last prune cohort by
+cohort, newest first.  Every parent sits in an earlier cohort, so when a
+cohort is reached its rows' child counts are final: one pass finds its
+kept rows and unifurcations and counts them for their parents.  The
+survivors of the last prune that the sweep reaches are climbed, with a
+visited mask, to their ancestors; only those count their children, and
+the others are dropped unvisited.  Each unifurcation then finds the top
+of its run by pointer doubling.  So a prune costs in proportion to the
+rows recorded since the last one and the survivors they reach, plus a
+few vectorised scans and the moving of the survivors it keeps.
 
 Birth rank is lineage-local time: the deposit counter the newborn
 carried at its first deposit.  For lineages that never sat in a
@@ -50,6 +56,7 @@ import numpy as np
 from ..phylo.tree import PhyloTree
 
 NO_PARENT = -1
+_ONE = np.int32(1)  # np.add.at takes its fast path only for an operand of the array's dtype
 MAX_ROWS = 2**31 - 1  # rows held at once; positions are int32
 
 
@@ -57,33 +64,6 @@ def _resized(buf: np.ndarray, used: int, capacity: int) -> np.ndarray:
     out = np.empty(capacity, dtype=buf.dtype)
     out[:used] = buf[:used]
     return out
-
-
-def _chain_tops(parent: np.ndarray, through: np.ndarray, blocks: list[int]) -> np.ndarray:
-    """Index of the top of each row's chain.
-
-    ``parent`` indexes the same rows (NO_PARENT for founders).  A row
-    continues its parent's chain when the parent is ``through``.  The
-    rows before ``blocks[0]`` have their parents among themselves and
-    resolve by pointer doubling.  The other rows come in ``blocks``
-    (start indices, ascending) whose parents all sit in earlier blocks or
-    among the leading rows, so one pass per block labels them in order.
-    """
-    n = parent.size
-    idx = np.arange(n, dtype=np.int32)
-    top = ~np.append(through, False)[parent]  # a founder's NO_PARENT reads False
-    jump = np.where(top, idx, parent)
-    head = jump[: blocks[0] if blocks else n]
-    todo = np.flatnonzero(~top[head])
-    while todo.size:
-        hop = head[head[todo]]
-        head[todo] = hop
-        todo = todo[~top[hop]]
-    # A top points at itself and any other row at its parent, whose top
-    # an earlier block has already found.
-    for a, b in zip(blocks, blocks[1:] + [n]):
-        jump[a:b] = jump[jump[a:b]]
-    return jump
 
 
 class LineageTracker:
@@ -94,7 +74,7 @@ class LineageTracker:
         self._key = np.empty(0, dtype=np.int64)  # survivors: key atop the run each absorbed
         self._cohorts: list[int] = []  # first row of each cohort recorded since
         self._births = 0  # births so far: the next row's key
-        self._stamp = np.empty(0, dtype=np.int32)
+        self._stamp = np.empty(1, dtype=np.int32)
         self._peak = 0  # most rows held at once, up to the last prune
         self.rows_pruned = 0  # running total over every prune
 
@@ -135,75 +115,96 @@ class LineageTracker:
     def _key_of(self, rows: np.ndarray) -> np.ndarray:
         """Each row's key: a survivor's stored one, else its birth serial."""
         out = rows + (self._births - self._n)
-        old = rows < self._key.size
-        out[old] = self._key[rows[old]]
+        old = (rows < self._key.size).nonzero()[0]
+        out[old] = self._key.take(rows.take(old))
         return out
-
-    def _ancestry(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``rows`` and their ancestors, sorted; the index into them of
-        each one's parent (NO_PARENT for founders) and of each of
-        ``rows``; and the start of each cohort among them."""
-        n_old = self._key.size
-        at = np.asarray(rows, dtype=np.int64)
-        if at.size and (at.min() < 0 or at.max() >= self._n):
-            raise KeyError("no such tracker row")
-        # Every parent sits in an earlier cohort or among the survivors:
-        # sweep the newest first.  A mark on a row already swept changes
-        # nothing, so NO_PARENT may mark the spare last entry.
-        seen = np.zeros(self._n + 1, dtype=bool)
-        seen[at] = True
-        rows, parents = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
-        ends = self._cohorts[1:] + [self._n]
-        for start, end in zip(reversed(self._cohorts), reversed(ends)):
-            row = np.flatnonzero(seen[start:end])
-            row += start
-            named = self._parent[row]
-            rows.append(row)
-            parents.append(named)
-            seen[named] = True
-        if n_old:
-            seen[-1] = True  # so the climb stops at NO_PARENT
-            up = np.flatnonzero(seen[:n_old])
-            while up.size:
-                up = self._parent[up]
-                up = np.unique(up[~seen[up]])
-                seen[up] = True
-            kept = np.flatnonzero(seen[:n_old])
-            rows.append(kept)
-            parents.append(self._parent[kept])
-        rows = np.concatenate(rows[::-1])
-        parents = np.concatenate(parents[::-1])
-        # A stamp, not np.searchsorted(rows, parents): that saved 2 MiB but doubled prune time.
-        if len(self._stamp) <= self._n:
-            self._stamp = np.empty(len(self._parent) + 1, dtype=np.int32)
-            self._stamp[-1] = NO_PARENT  # never a row's: maps NO_PARENT to itself
-        self._stamp[rows] = np.arange(rows.size, dtype=np.int32)
-        blocks = np.searchsorted(rows, self._cohorts).tolist()
-        return rows, self._stamp[parents], self._stamp[at], blocks
 
     def _splice(self, live: np.ndarray) -> tuple[np.ndarray, ...]:
         """The rows live or branching in the closure of ``live``, in order;
         the position among them of each one's nearest kept ancestor
-        (NO_PARENT for none); the head of the run each absorbed; and the
-        position of each of ``live``."""
-        rows, parents, at, blocks = self._ancestry(live)
-        kept = np.bincount(parents[parents != NO_PARENT], minlength=rows.size) >= 2
-        kept[at] = True
-        head = rows[_chain_tops(parents, ~kept, blocks)[kept]]
-        rows = rows[kept]
-        self._stamp[rows] = np.arange(rows.size, dtype=np.int32)  # each kept row's position
-        return rows, self._stamp[self._parent[head]], head, self._stamp[live]
+        (NO_PARENT for none); and the head of the run each absorbed.  The
+        stamp then maps each kept row to its position."""
+        n, k, parent = self._n, self._key.size, self._parent
+        at = np.asarray(live, dtype=np.int64)
+        if at.size and (at.min() < 0 or at.max() >= n):
+            raise KeyError("no such tracker row")
+        if len(self._stamp) <= n:
+            self._stamp = np.empty(len(parent) + 1, dtype=np.int32)
+        # First the scratch column counts each row's reasons to be held: 2
+        # if live, plus one per child in the closure.  Its spare last entry
+        # stands for NO_PARENT.
+        count = self._stamp
+        count[:n] = 0
+        count[-1] = 0
+        count[at] = 2
+        # Every parent sits in an earlier cohort or among the survivors:
+        # sweep the newest first, so that a row's count is final when its
+        # cohort is reached.  A row counted once is a unifurcation; one
+        # counted twice or more is kept.
+        kept, through, below, above = [], [], [], []  # and the parent of each
+        ends = self._cohorts[1:] + [n]
+        for start, end in zip(reversed(self._cohorts), reversed(ends)):
+            held = count[start:end]
+            branch = (held >= 2).nonzero()[0]
+            row = np.concatenate((branch, (held == 1).nonzero()[0]))
+            row += start
+            up = parent.take(row)
+            np.add.at(count, up, _ONE)
+            cut = branch.size
+            kept.append(row[:cut])
+            below.append(up[:cut])
+            through.append(row[cut:])
+            above.append(up[cut:])
+        # The survivors the sweep reached, and those they descend from, are
+        # found by climbing from the reached ones alone; then each counts
+        # its children among them.
+        unseen = count[: k + 1] == 0
+        unseen[k] = False  # NO_PARENT, where the climb stops
+        step = (count[:k] > 0).nonzero()[0]
+        while step.size:
+            up = parent.take(step)
+            step = up.compress(unseen.take(up))
+            unseen[step] = False
+        row = (~unseen[:k]).nonzero()[0]
+        up = parent.take(row)
+        np.add.at(count, up, _ONE)
+        count[-1] = 0
+        held = count.take(row)
+        for rows, named, which in ((kept, below, held >= 2), (through, above, held == 1)):
+            rows.append(row.compress(which))
+            named.append(up.compress(which))
+        through, above = np.concatenate(through[::-1]), np.concatenate(above[::-1])
+        climbs = count.take(above) == 1  # the parent is a unifurcation too
+        kept, below = np.concatenate(kept[::-1]), np.concatenate(below[::-1])
+        absorbs = count.take(below) == 1
+        # Then the column points each unifurcation at the top of its run,
+        # by pointer doubling, and each kept row at its new position.
+        jump = self._stamp
+        jump[-1] = NO_PARENT
+        jump[through] = through
+        todo = through.compress(climbs)
+        jump[todo] = above.compress(climbs)
+        del through, above, climbs  # freed before the kept rows' arrays grow
+        while todo.size:
+            hop = jump.take(jump.take(todo))
+            jump[todo] = hop
+            todo = todo.compress(jump.take(hop) != hop)
+        head = jump.take(below) - kept
+        head *= absorbs
+        head += kept  # the top of the run above, or the row itself
+        jump[kept] = np.arange(kept.size, dtype=np.int32)
+        return kept, jump.take(parent.take(head)), head
 
     def prune(self, live: np.ndarray) -> int:
         """Keep, in order, the rows live or ancestral to ``live`` that are
         live or branch, each pointing at its nearest kept ancestor;
         returns rows removed.  NO_PARENT in ``live`` is skipped."""
         live = np.asarray(live, dtype=np.int64)
-        rows, up, head, _ = self._splice(live[live != NO_PARENT])
+        rows, up, head = self._splice(live[live != NO_PARENT])
         k = rows.size
         self._key = self._key_of(head)
         self._parent[:k] = up
-        self._rank[:k] = self._rank[rows]
+        self._rank[:k] = self._rank.take(rows)
         removed = self._n - k
         self._peak = max(self._peak, self._n)
         self._n = k
@@ -237,7 +238,8 @@ class LineageTracker:
             raise ValueError("one label per sampled row")
         if tags is not None and len(tags) != len(labels):
             raise ValueError("one tag per sampled row")
-        rows, up, head, at = self._splice(sample_rows)
+        rows, up, head = self._splice(sample_rows)
+        at = self._stamp.take(sample_rows)
         k = rows.size
         kids = np.bincount(up[up != NO_PARENT], minlength=k)
         lone = ((kids == 0) & (np.bincount(at, minlength=k) == 1))[at]  # leaf is its row's node

@@ -9,7 +9,7 @@ tagged and fitness layouts, all-tie tournaments, each treatment and
 policy, the 8-bit surface, a 3-bit surface of 128 slots, in-transit
 loss, the torus and tracking.
 ``tagged-tracked-400`` runs 400 lockstep cycles, so the engine prunes
-the tracker ``400 // PRUNE_INTERVAL`` times (twelve at 32 cycles) before
+the tracker ``400 // PRUNE_INTERVAL`` times (fifty at 8 cycles) before
 the final prune, and its tree hash checks the lineage records across
 prunes.  The prune cadence must not show in any artifact: two tracked
 cases are rerun pruning every cycle and never before the end.

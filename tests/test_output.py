@@ -103,6 +103,65 @@ def test_counter_column_must_agree_with_the_packed_genome():
         read_genomes_csv(tampered + "\n", eng.layout, cfg.policy)
 
 
+def tamper(text: str, row: int, column: int, cell: str) -> str:
+    """``text`` with one cell replaced: ``row`` counts from the header as 1."""
+    lines = text.splitlines()
+    cells = lines[row - 1].split(",")
+    cells[column] = cell
+    lines[row - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "layout,cell,fragment",
+    [
+        ("tagged", "{tag_plus_one}", "column says"),
+        ("tagged", "x", "invalid literal"),
+        ("tagged", "", "invalid literal"),
+        ("fitness", "banana", "could not convert"),
+        ("fitness", "{fit_plus_one}", "column says"),
+        ("fitness", "nan", "column says nan"),
+        ("fitness", "1e300", "column says inf"),  # overflows float32
+    ],
+)
+def test_the_tag_or_fitness_column_must_agree_with_the_packed_genome(layout, cell, fragment):
+    cfg, eng = simulate(layout=layout)
+    samples = eng.sample_end_state()
+    text = genomes_csv_text(eng.layout, samples)
+    fields = samples[1].fields
+    cell = cell.format(
+        tag_plus_one=(fields.founder_tag or 0) + 1, fit_plus_one=(fields.fitness or 0.0) + 1.0
+    )
+    name = "founder_tag" if layout == "tagged" else "fitness"
+    with pytest.raises(GenomesCsvError, match=f"^row 3, field '{name}': .*{fragment}"):
+        read_genomes_csv(tamper(text, 3, 4, cell), eng.layout, cfg.policy)
+
+
+def test_fitness_agrees_as_float32_and_a_nan_agrees_with_a_nan():
+    cfg, eng = simulate(layout="fitness")
+    samples = eng.sample_end_state()
+    for j, fitness in ((0, float("nan")), (1, 0.75)):
+        fields = dataclasses.replace(samples[j].fields, fitness=fitness)
+        samples[j] = dataclasses.replace(samples[j], fields=fields)
+    text = genomes_csv_text(eng.layout, samples)
+    assert text.splitlines()[1].endswith(",nan")
+    rows = read_genomes_csv(text, eng.layout, cfg.policy)
+    assert np.isnan(rows[0].fitness)
+    # A decimal that rounds to the packed float32 agrees with it.
+    rows = read_genomes_csv(tamper(text, 3, 4, "0.7500000001"), eng.layout, cfg.policy)
+    assert rows[1].fitness == 0.75
+
+
+def test_a_file_without_the_tag_or_fitness_column_still_decodes():
+    for layout in ("tagged", "fitness"):
+        cfg, eng = simulate(layout=layout)
+        samples = eng.sample_end_state()
+        text = genomes_csv_text(eng.layout, samples)
+        bare = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines()) + "\n"
+        full = read_genomes_csv(text, eng.layout, cfg.policy)
+        assert read_genomes_csv(bare, eng.layout, cfg.policy) == full
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

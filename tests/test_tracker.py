@@ -522,6 +522,87 @@ def test_a_prune_after_every_cohort(seed):
             m.check_tree(rng.choice(sorted(m.named), size=4))
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("gaps", [(1,), (1, 3, 2, 8, 1, 5, 13, 2)], ids=["every-cohort", "irregular"])
+def test_prunes_at_any_gap_agree_with_a_brute_force_reference(seed, gaps):
+    """An engine-like run: a few lanes that each pick a parent among the
+    lanes every cohort, fitter lanes more often, and migrants sent as a
+    copy of a lane's id, held in transit (live) for up to 20 cohorts and
+    then arriving as parents.  Pruned after each gap of the cycle ``gaps``."""
+    rng = np.random.default_rng(seed)
+    m = Mirror()
+    lanes = m.cohort([NO_PARENT] * 8)
+    weight = np.arange(len(lanes), 0, -1) ** 2
+    transit: list[list[int]] = []  # [id, cohorts still to wait]
+    due = 0
+    for step in range(80):
+        arrived = [i for i, wait in transit if wait == 0]
+        transit = [[i, wait - 1] for i, wait in transit if wait]
+        parents = [int(x) for x in rng.choice(lanes, size=len(lanes), p=weight / weight.sum())]
+        parents[: len(arrived)] = arrived[: len(parents)]
+        if rng.random() < 0.4:
+            transit.append([int(rng.choice(lanes)), int(rng.integers(0, 20))])
+        lanes = m.cohort(parents)
+        if step == due:
+            m.prune(lanes + [i for i, _ in transit])
+            due += gaps[step % len(gaps)]
+            if step % 7 == 0:
+                m.check_tree(rng.choice(sorted(m.named), size=5))
+
+
+def test_a_survivor_whose_children_all_die_goes_with_them():
+    m = Mirror()
+    founder = m.cohort([NO_PARENT])[0]
+    a, b = m.cohort([founder, founder])
+    a1, a2 = m.cohort([a, a])
+    b1 = m.cohort([b])[0]
+    m.prune([a1, a2, b1])  # the founder and a branch; b is spliced out
+    assert len(m.tr) == 5
+    line = m.chain(b1, 3)
+    m.prune([line[-1]])  # a, a1 and a2 leave, and the founder is left with one child
+    assert len(m.tr) == 1
+    m.check_tree([line[-1]])
+    tip = m.cohort([line[-1], line[-1]])
+    m.prune(tip)
+    m.check_tree(tip)
+
+
+def test_a_survivor_left_with_one_child_is_spliced_at_a_later_prune():
+    m = Mirror()
+    founder = m.cohort([NO_PARENT])[0]
+    x = m.chain(founder, 2)[-1]
+    y, z = m.cohort([x, x])
+    m.prune([y, z, founder])  # x branches; the founder is live
+    y2, z2 = m.cohort([y, z])
+    m.prune([y2, z2])  # x keeps both children; y and z are spliced out, the founder too
+    m.check_tree([z2, y2])
+    y3 = m.cohort([y2])[0]
+    m.prune([y3, y2])  # z's line dies: x is left with one child
+    m.check_tree([y3, y2])
+    y4 = m.cohort([y3])[0]
+    m.prune([y4])  # and y2, no longer live, has one child too
+    assert len(m.tr) == 1
+    m.check_tree([y4])
+
+
+def test_rows_held_only_by_a_migrant_in_transit_outlast_several_prunes():
+    m = Mirror()
+    founder = m.cohort([NO_PARENT])[0]
+    a, b = m.cohort([founder, founder])
+    migrant = m.cohort([a])[0]  # a's only child, in transit from here on
+    lanes = m.cohort([b, b])
+    for _ in range(3):
+        lanes = m.cohort([lanes[0], lanes[1], lanes[1]])[1:]
+        m.prune(lanes + [migrant])  # the founder branches only through the migrant
+        assert len(m.tr) == 5  # the founder, the migrant, the lanes and their parent
+        m.check_tree(lanes + [migrant])
+    kids = m.cohort([migrant, migrant, lanes[0]])  # it arrives and is chosen twice
+    m.prune(kids)
+    m.check_tree(kids)
+    m.prune([m.cohort([kids[0]])[0], kids[2]])  # its other child dies
+    m.check_tree(sorted(m.named))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_chain_heavy_genealogies_agree_with_a_brute_force_reference(seed):
@@ -545,9 +626,10 @@ def test_chain_heavy_genealogies_agree_with_a_brute_force_reference(seed):
         m.check_tree(rng.choice(sorted(m.named), size=int(rng.integers(1, 6))))
 
 
-def test_a_tracked_grid_holds_at_most_two_rows_per_live_id(monkeypatch):
-    """After every prune of an engine run, L distinct live ids hold at
-    most 2L - 1 rows."""
+@pytest.fixture(scope="module")
+def tracked_grid() -> tuple[DeterministicGrid, list[tuple[int, int]]]:
+    """A 16x16 purifying run of 300 generations, with the rows held and
+    the distinct live rows after each of its prunes."""
     grid = DeterministicGrid(
         GridConfig(
             16, 16, 300, layout="fitness", treatment=Treatment(mode="purifying"),
@@ -563,10 +645,30 @@ def test_a_tracked_grid_holds_at_most_two_rows_per_live_id(monkeypatch):
         held.append((len(tr), np.unique(live).size))
         return removed
 
-    monkeypatch.setattr(tr, "prune", checked)
+    tr.prune = checked
     grid.run()
+    return grid, held
+
+
+def test_a_tracked_grid_holds_at_most_two_rows_per_live_id(tracked_grid):
+    """After every prune of an engine run, L distinct live ids hold at
+    most 2L - 1 rows."""
+    grid, held = tracked_grid
     assert len(held) == 300 // engine.PRUNE_INTERVAL + 1  # the last one ends the run
     assert all(rows <= 2 * live - 1 for rows, live in held)
+
+
+def test_a_tracked_grid_peaks_at_a_few_rows_per_agent(tracked_grid):
+    """The rows held peak just before a prune, at about the births since
+    the last one plus the survivors: about 10 rows per agent pruning every
+    8 cycles (about 34 every 32).  The buffers hold at most a quarter more
+    rows than that peak."""
+    grid, _ = tracked_grid
+    tr, cfg = grid.tracker, grid.config
+    agents = cfg.width * cfg.height * cfg.population
+    assert tr.peak_rows <= 12 * agents
+    for buf in (tr._parent, tr._rank, tr._stamp):
+        assert len(buf) <= tr.peak_rows * 5 // 4 + 1
 
 
 def assert_handles_are_rows(grid: DeterministicGrid) -> int:
