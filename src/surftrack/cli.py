@@ -335,10 +335,10 @@ def _load_tree(path: str):
 def cmd_metrics(args: argparse.Namespace) -> int:
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in phylo_metrics.METRICS]
-    if unknown:
+    if unknown or not wanted:
+        what = f"unknown metric(s) {', '.join(unknown)}" if unknown else "no metric named"
         print(
-            f"unknown metric(s) {', '.join(unknown)}; "
-            f"valid names: {', '.join(sorted(phylo_metrics.METRICS))}",
+            f"{what}; valid names: {', '.join(sorted(phylo_metrics.METRICS))}",
             file=sys.stderr,
         )
         return 2

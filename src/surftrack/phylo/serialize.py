@@ -31,6 +31,16 @@ class AlifeCsvError(ValueError):
 
 _PLAIN_LABEL = re.compile(r"^[A-Za-z0-9_.|+-]+$")
 _ANCESTOR = re.compile(r"^\[(none|\d+)\]$")
+# Newick's tokens.  A quoted label writes a quote as '' and closes at the
+# first quote that no quote follows; a quote that starts no closed label is ``bad``.
+_TOKEN = re.compile(
+    r"""(?P<space>\s+) | (?P<open>\() | (?P<comma>,) | (?P<close>\))
+      | :(?P<length>[\d.+eE-]*)
+      | '(?P<quoted>(?:[^']|'')*)'(?!')
+      | (?P<bare>[^(),:;'\s]+)
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def format_time(x: float) -> str:
@@ -41,18 +51,20 @@ def format_time(x: float) -> str:
     return repr(f)
 
 
-def _quote_label(label: str) -> str:
+def _quote_label(label: str, at: int) -> str:
     if _PLAIN_LABEL.match(label):
         return label
+    if len(f"{label}.".splitlines()) > 1:  # the reader splits lines first
+        raise ValueError(f"node {at}: label {label!r} has a line break, which ends a Newick tree")
     return "'" + label.replace("'", "''") + "'"
 
 
 def export_newick(tree: PhyloTree) -> str:
-    """Serialize a forest as newline-separated Newick, one tree per line."""
+    """Serialize a forest as Newick, one tree per line; a label may hold no line break."""
     parent, time, label = tree.parent, tree.origin_time, tree.label
 
     def tail(j: int) -> str:
-        name = "" if label[j] is None else _quote_label(label[j])
+        name = "" if label[j] is None else _quote_label(label[j], j)
         base = time[parent[j]] if parent[j] >= 0 else 0.0
         return name + ":" + format_time(time[j] - base)
 
@@ -94,7 +106,6 @@ def _parse_tree(s: str, tree: PhyloTree) -> None:
     """Append one tree's nodes, which Newick names in preorder, to ``tree``."""
     if not s.endswith(";"):
         raise NewickParseError("missing trailing ';'")
-    s = s[:-1]
     parent, time, label, tag = tree.parent, tree.origin_time, tree.label, tree.founder_tag
     first = len(parent)
     length_at: dict[int, int] = {}  # node -> column of its length
@@ -109,79 +120,48 @@ def _parse_tree(s: str, tree: PhyloTree) -> None:
     cur = new(-1)
     stage = 0  # what cur has so far: 0 nothing, 1 a clade, 2 a label, 3 a length
     stack: list[int] = []
-    i = 0
-    n = len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-        elif c == "(":
+    for m in _TOKEN.finditer(s, 0, len(s) - 1):
+        kind, col = m.lastgroup, m.start() + 1
+        if kind == "open":
             if stage:
-                raise NewickParseError(f"'(' after a clade, label or length at column {i + 1}")
+                raise NewickParseError(f"'(' after a clade, label or length at column {col}")
             stack.append(cur)
             cur = new(cur)
-            i += 1
-        elif c == ",":
+        elif kind == "comma":
             if not stack:
-                raise NewickParseError(f"',' outside parentheses at column {i + 1}")
+                raise NewickParseError(f"',' outside parentheses at column {col}")
             cur = new(stack[-1])
             stage = 0
-            i += 1
-        elif c == ")":
+        elif kind == "close":
             if not stack:
-                raise NewickParseError(f"unbalanced ')' at column {i + 1}")
+                raise NewickParseError(f"unbalanced ')' at column {col}")
             cur = stack.pop()
             stage = 1
-            i += 1
-        elif c == ":":
+        elif kind == "length":
             if stage == 3:
-                raise NewickParseError(f"second branch length at column {i + 1}")
-            i += 1
-            j = i
-            while j < n and (s[j].isdigit() or s[j] in ".+-eE"):
-                j += 1
+                raise NewickParseError(f"second branch length at column {col}")
+            col += 1  # a length is reported at the column after its colon
             try:
-                length = float(s[i:j])
+                length = float(m["length"])
             except ValueError:
-                raise NewickParseError(f"bad branch length at column {i + 1}") from None
+                raise NewickParseError(f"bad branch length at column {col}") from None
             if not math.isfinite(length):
-                raise NewickParseError(f"non-finite branch length at column {i + 1}")
+                raise NewickParseError(f"non-finite branch length at column {col}")
             if length < 0 and parent[cur] >= 0:
-                raise NewickParseError(f"negative branch length at column {i + 1}")
+                raise NewickParseError(f"negative branch length at column {col}")
             time[cur] = length
-            length_at[cur] = i + 1
+            length_at[cur] = col
             stage = 3
-            i = j
-        else:
-            if c == "'":
-                j = i + 1
-                buf = []
-                while True:
-                    if j >= n:
-                        raise NewickParseError("unterminated quoted label")
-                    if s[j] == "'":
-                        if j + 1 < n and s[j + 1] == "'":
-                            buf.append("'")
-                            j += 2
-                            continue
-                        break
-                    buf.append(s[j])
-                    j += 1
-                name = "".join(buf)
-                j += 1
-            else:
-                j = i
-                while j < n and s[j] not in "(),:;'" and not s[j].isspace():
-                    j += 1
-                if j == i:
-                    raise NewickParseError(f"unexpected character {c!r} at column {i + 1}")
-                name = s[i:j]
+        elif kind == "bad":
+            if m["bad"] == "'":
+                raise NewickParseError("unterminated quoted label")
+            raise NewickParseError(f"unexpected character {m['bad']!r} at column {col}")
+        elif kind != "space":
             if stage >= 2:
                 what = "second label" if stage == 2 else "label after a branch length"
-                raise NewickParseError(f"{what} at column {i + 1}")
-            label[cur] = name
+                raise NewickParseError(f"{what} at column {col}")
+            label[cur] = m["bare"] if kind == "bare" else m["quoted"].replace("''", "'")
             stage = 2
-            i = j
     if stack:
         raise NewickParseError("unbalanced '(': tree ended inside a clade")
 

@@ -76,9 +76,11 @@ def read_genomes_csv(
     agree with the packed counter, and so must the redundant
     ``founder_tag`` or ``fitness`` column, when present, with the packed
     one (fitness compared as float32, a NaN agreeing with a NaN).  A
-    decode error names the row and the field it failed on.  Every row's
-    fields are parsed first, so a malformed field anywhere is reported
-    before a disagreement; then all genomes decode in one pass.
+    decode error names the row and the field it failed on; a negative PE
+    coordinate is one (its upper bound needs the grid, which the reader
+    is not given).  Every row's fields are parsed first, so a malformed
+    field anywhere is reported before a disagreement; then all genomes
+    decode in one pass.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -93,9 +95,15 @@ def read_genomes_csv(
     def genome(cell: str) -> bytes:
         return layout.check_length(bytes.fromhex(cell))
 
+    def coordinate(cell: str) -> int:
+        value = int(cell)
+        if value < 0:
+            raise ValueError(f"negative PE coordinate {value}")
+        return value
+
     tagged = layout.kind == "tagged"
     extra = ("founder_tag", int) if tagged else ("fitness", float)
-    fields = (("pe_x", int), ("pe_y", int), ("counter", int), ("genome_hex", genome))
+    fields = (("pe_x", coordinate), ("pe_y", coordinate), ("counter", int), ("genome_hex", genome))
     if extra[0] in cols:
         fields += (extra,)
     rownums: list[int] = []

@@ -20,8 +20,9 @@ quarter when full: each row's parent row (int32, NO_PARENT for
 founders) and its birth rank (uint32), 8 bytes per row, plus a 4-byte
 scratch stamp per buffer row.  While pruning and building trees the
 stamp first counts each row's children, then maps rows to new
-positions.  Positions fit because the buffers stay below 2**31 rows,
-and ranks (deposit counters) lie in [0, 2**32).
+positions.  Each survivor of the last prune also holds its sibling-order
+key (int64, below), 8 bytes more.  Positions fit because the buffers
+stay below 2**31 rows, and ranks (deposit counters) lie in [0, 2**32).
 
 A prune and ``to_tree`` share one splice.  It takes the closure of a
 set of rows (the rows in it or ancestral to one of them) and keeps only

@@ -517,6 +517,16 @@ def test_unknown_metric_is_a_usage_error(tmp_path, capsys):
     assert "valid names" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("names", [",", "", " , "])
+def test_an_empty_metric_selection_is_a_usage_error(tmp_path, capsys, names):
+    write_cherry(tmp_path / "pair.newick")
+    rc = main(["metrics", "--tree", str(tmp_path / "pair.newick"), "--metrics", names])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no metric named; valid names: colless, med, mpd, sbl, spd\n"
+
+
 def test_pairwise_metrics_refuse_forests(tmp_path, capsys):
     (tmp_path / "forest.newick").write_text("(A:10,B:10):0;\n(C:5,D:5):0;\n")
     rc = main(["metrics", "--tree", str(tmp_path / "forest.newick"), "--metrics", "mpd"])

@@ -188,6 +188,8 @@ def test_malformed_rows_name_their_row(text, fragment):
     [
         ("x,0,{hex},{counter}", "pe_x"),
         ("0,,{hex},{counter}", "pe_y"),
+        ("-7,0,{hex},{counter}", "pe_x"),  # negative PE coordinates
+        ("0,-1,{hex},{counter}", "pe_y"),
         ("0,0,{hex},1.5", "counter"),
         ("0,0,{hex}", "counter"),  # a short row
         ("0,0,zz,{counter}", "genome_hex"),

@@ -1,6 +1,7 @@
 """Newick and ALife CSV round trips, plus their failure diagnostics."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,65 @@ def test_newick_parse_errors(text, fragment):
 @given(st.integers(0, 10_000), st.booleans())
 def test_newick_round_trip(seed, forest):
     t = random_tree(seed, max_leaves=40, forest=forest)
+    assert parse_newick(export_newick(t)) == t
+
+
+@pytest.mark.parametrize(
+    "text,labels,times",
+    [
+        ("('a''':1,B:1);", [None, "a'", "B"], [0.0, 1.0, 1.0]),  # '' then the closing quote
+        ("('':1,B:1);", [None, "", "B"], [0.0, 1.0, 1.0]),  # an empty quoted label
+        ("\t(\tA:1 ,\tB:1\t)\t:2;", [None, "A", "B"], [2.0, 3.0, 3.0]),  # tabs between tokens
+        ("(é:1,ß:2);", [None, "é", "ß"], [0.0, 1.0, 2.0]),  # non-ASCII bare labels
+        # quoted labels, each followed by a length
+        ("('x y':1.5,'(B)':2)'r':0;", ["r", "x y", "(B)"], [0.0, 1.5, 2.0]),
+    ],
+)
+def test_newick_lexer_corner_cases(text, labels, times):
+    t = parse_newick(text)
+    assert (t.label, t.origin_time) == (labels, times)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(A;B);", "line 1: unexpected character ';' at column 3"),
+        # the first lone quote closes a label, so this one never closes
+        ("('a''b''c,D);", "line 1: unterminated quoted label"),
+        ("(A''',B);", "line 1: unterminated quoted label"),  # not '' and then a lone quote
+        ("(A:1 'x',B:1);", "line 1: label after a branch length at column 6"),
+        # '²' is a digit to str.isdigit but not a decimal one, so the length is '1'
+        ("(A:1²,B:1);", "line 1: label after a branch length at column 5"),
+        ("(A:²,B:1);", "line 1: bad branch length at column 4"),
+    ],
+)
+def test_newick_lexer_errors(text, message):
+    with pytest.raises(NewickParseError) as err:
+        parse_newick(text)
+    assert str(err.value) == message
+
+
+# Every character that str.splitlines cuts a line at.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("bad", ["two\nlines", "page\u2028break"])
+def test_newick_export_refuses_a_label_holding_a_line_break(bad):
+    message = f"node 2: label {bad!r} has a line break, which ends a Newick tree"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        export_newick(cherry(a="fine", b=bad))
+
+
+label_text = st.text(
+    st.sampled_from("'(),:; \t_A1é") | st.characters(exclude_characters=LINE_BREAKS), max_size=8
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.none() | label_text, min_size=1, max_size=20))
+def test_newick_round_trip_keeps_any_label_without_a_line_break(seed, labels):
+    t = random_tree(seed, max_leaves=12)
+    t.label[:] = [labels[i % len(labels)] for i in range(len(t.label))]
     assert parse_newick(export_newick(t)) == t
 
 
