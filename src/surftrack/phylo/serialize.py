@@ -177,12 +177,20 @@ ALIFE_COLUMNS = ("id", "ancestor_list", "origin_time", "taxon_label", "founder_t
 
 
 def export_alife_csv(tree: PhyloTree) -> str:
-    """Serialize a forest as ALife-standard CSV with preorder ids."""
+    """Serialize a forest as ALife-standard CSV with preorder ids.
+
+    The reader strips each label and reads an empty one as none, and the
+    writer leaves a carriage return unquoted, which the reader takes for a
+    line end; so a label that is empty, has whitespace at either end or
+    holds a carriage return is refused.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ALIFE_COLUMNS)
     columns = zip(tree.parent, tree.origin_time, tree.label, tree.founder_tag)
     for i, (up, origin, label, tag) in enumerate(columns):
+        if label is not None and (not label or label.strip() != label or "\r" in label):
+            raise ValueError(f"node {i}: label {label!r} would not read back unchanged")
         writer.writerow(
             (
                 i,

@@ -158,12 +158,10 @@ class DeterministicGrid:
         self._everyone = np.ones(P, dtype=bool)
         self._row_base = (self._all * K)[:, None]  # flat index of each PE's lane 0
         n = config.tournament_size
-        # Flat offset of each lane's first candidate in the tournament draws,
-        # and its offset within its own stream's block.
-        self._cand_base = self._all[:, None] * (2 * K * n) + np.arange(K) * n
+        # Each lane's first candidate draw within its own stream's block.
         self._cand_steps = np.arange(K, dtype=np.uint64) * np.uint64(n)
         self._tie_steps = np.arange(K * n, 2 * K * n, dtype=np.uint64)  # tie draws in a block
-        self._tie_cols = np.tile(np.arange(n, dtype=np.uint64), K)  # j of each tie draw
+        self._tie_cols = np.arange(n, dtype=np.uint64)  # j of each candidate
         w = config.differentia_bits  # the surface words: see the module docstring
         self._stride = 1 << (w - 1).bit_length()
         self._field = np.uint64((1 << w) - 1)
@@ -186,7 +184,13 @@ class DeterministicGrid:
 
         self.tracker: LineageTracker | None = None
         if config.track_perfect:
-            self.tracker = LineageTracker()
+            # Rows held peak just before a prune: the survivors of the last
+            # one, at most 2L - 1 for L live handles (population, emigrant
+            # links, stage slots), plus PRUNE_INTERVAL cohorts; and they never
+            # pass the births of the configured run.
+            live = P * (K + 4 + 4 * R)
+            peak = PRUNE_INTERVAL * P * K + 2 * live - 1
+            self.tracker = LineageTracker(min(peak, (config.generations + 1) * P * K))
             founders = self.tracker.record_cohort(
                 np.full(P * K, NO_PARENT), np.zeros(P * K, np.int64)
             )
@@ -324,33 +328,34 @@ class DeterministicGrid:
         # bits.  The largest key is the highest tie, the first on equality.
         if "fit" in pop:
             draws = self.bank.draw(ids, 2 * KN)  # every candidate is scored
-            key = draws[:, KN:] | _TIE_LOW
+            cand = streams.to_index(draws[:, :KN], K)
+            cand += row_base
+            key = draws[:, KN:]  # the keys are made in place of the ties
         else:
             # Tags all score 0, so only the ties and each winner's candidate
             # are read; the cursors still pass the whole block.
             start = self.bank.skip(ids, 2 * KN)
             key = self.bank.at(ids, start, self._tie_steps)
-            key |= _TIE_LOW
+        key = key.reshape(m, K, n)
+        key |= _TIE_LOW
         key -= self._tie_cols
-        key = key.reshape(L, n)
         if "fit" in pop:
-            cand = streams.to_index(draws[:, :KN], K)
-            cand += row_base
-            fit = pop["fit"].reshape(-1).take(cand).reshape(L, n)
-            best = fit[:, 0]
+            fit = pop["fit"].reshape(-1).take(cand).reshape(m, K, n)
+            best = fit[..., 0]
             for j in range(1, n):
-                best = np.maximum(best, fit[:, j])
-            key *= fit == best[:, None]  # only the fittest stay in the running
-        top = key[:, 0]
+                best = np.maximum(best, fit[..., j])
+            key *= fit == best[..., None]  # only the fittest stay in the running
+        top = key[..., 0]
         for j in range(1, n):
-            top = np.maximum(top, key[:, j])
-        col = (_TIE_LOW - (top & _TIE_LOW)).reshape(m, K)
+            top = np.maximum(top, key[..., j])
+        col = _TIE_LOW - (top & _TIE_LOW)
         if "fit" in pop:
-            picked = draws.reshape(-1).take(self._cand_base[:m] + col.astype(np.int64))
+            at = col.view(np.int64)
+            at += np.arange(0, L * n, n).reshape(m, K)  # each winner's place in cand
+            winner = cand.reshape(-1).take(at)
         else:
-            picked = self.bank.at(ids, start, self._cand_steps + col)
-        winner = streams.to_index(picked, K)
-        winner += row_base
+            winner = streams.to_index(self.bank.at(ids, start, self._cand_steps + col), K)
+            winner += row_base
         winner = winner.reshape(L)
         for name, arr in pop.items():
             pop[name] = arr.reshape((L,) + arr.shape[2:]).take(winner, axis=0).reshape(arr.shape)

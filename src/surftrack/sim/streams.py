@@ -94,7 +94,13 @@ def to_index(values: np.ndarray, bound: int) -> np.ndarray:
 
     Equal to ``(to_unit(values) * bound)`` truncated: scaling by a power
     of two is exact, so folding 2**-53 into the bound rounds the same.
+    A bound 2**s with 1 <= s <= 53 keeps the top s bits, which is that
+    same product, by one shift; above 2**53 the product's low bits are
+    zero where a shift would keep the draw's.
     """
+    bound = int(bound)
+    if 2 <= bound <= 2**53 and bound & (bound - 1) == 0:
+        return (values >> np.uint64(65 - bound.bit_length())).view(np.int64)
     u = (values >> np.uint64(11)).astype(np.float64)
     u *= bound * _TWO_NEG53
     return u.astype(np.int64)

@@ -15,14 +15,18 @@ rows' new positions, and every other handle from before is void.  A
 row outside [0, len(tracker)) or below NO_PARENT raises KeyError, but
 a void handle inside that range names some other row unnoticed.
 
-Storage: two column buffers, reused across prunes and grown by a
-quarter when full: each row's parent row (int32, NO_PARENT for
-founders) and its birth rank (uint32), 8 bytes per row, plus a 4-byte
-scratch stamp per buffer row.  While pruning and building trees the
-stamp first counts each row's children, then maps rows to new
-positions.  Each survivor of the last prune also holds its sibling-order
-key (int64, below), 8 bytes more.  Positions fit because the buffers
-stay below 2**31 rows, and ranks (deposit counters) lie in [0, 2**32).
+Storage: two column buffers, reserved at construction and reused
+across prunes: each row's parent row (int32, NO_PARENT for founders)
+and its birth rank (uint32), 8 bytes per row, plus a 4-byte scratch
+stamp per buffer row.  The engine reserves the most rows its run can
+hold, so it never reallocates them; past the reservation they grow by a
+quarter at a time.  While pruning and building trees the stamp first
+counts each row's children, then maps rows to new positions, and the
+splice's own row arrays are int32 as well.  Each survivor of the last
+prune also holds its sibling-order key (int64, below), 8 bytes more:
+keys count births, which pass 2**31 on long runs.  Positions fit
+because the buffers stay below 2**31 rows, and ranks (deposit counters)
+lie in [0, 2**32).
 
 A prune and ``to_tree`` share one splice.  It takes the closure of a
 set of rows (the rows in it or ancestral to one of them) and keeps only
@@ -68,9 +72,12 @@ def _resized(buf: np.ndarray, used: int, capacity: int) -> np.ndarray:
 
 
 class LineageTracker:
-    def __init__(self) -> None:
-        self._parent = np.empty(0, dtype=np.int32)  # row of each row's parent
-        self._rank = np.empty(0, dtype=np.uint32)
+    def __init__(self, capacity: int = 0) -> None:
+        """``capacity`` rows are reserved up front; the buffers grow past it
+        by a quarter at a time."""
+        capacity = min(capacity, MAX_ROWS)
+        self._parent = np.empty(capacity, dtype=np.int32)  # row of each row's parent
+        self._rank = np.empty(capacity, dtype=np.uint32)
         self._n = 0  # rows held: survivors first, then rows recorded since
         self._key = np.empty(0, dtype=np.int64)  # survivors: key atop the run each absorbed
         self._cohorts: list[int] = []  # first row of each cohort recorded since
@@ -115,7 +122,8 @@ class LineageTracker:
 
     def _key_of(self, rows: np.ndarray) -> np.ndarray:
         """Each row's key: a survivor's stored one, else its birth serial."""
-        out = rows + (self._births - self._n)
+        out = rows.astype(np.int64)  # births pass 2**31 on long runs
+        out += self._births - self._n
         old = (rows < self._key.size).nonzero()[0]
         out[old] = self._key.take(rows.take(old))
         return out
@@ -147,7 +155,7 @@ class LineageTracker:
         for start, end in zip(reversed(self._cohorts), reversed(ends)):
             held = count[start:end]
             branch = (held >= 2).nonzero()[0]
-            row = np.concatenate((branch, (held == 1).nonzero()[0]))
+            row = np.concatenate((branch, (held == 1).nonzero()[0]), dtype=np.int32)
             row += start
             up = parent.take(row)
             np.add.at(count, up, _ONE)
@@ -166,7 +174,7 @@ class LineageTracker:
             up = parent.take(step)
             step = up.compress(unseen.take(up))
             unseen[step] = False
-        row = (~unseen[:k]).nonzero()[0]
+        row = (~unseen[:k]).nonzero()[0].astype(np.int32)
         up = parent.take(row)
         np.add.at(count, up, _ONE)
         count[-1] = 0

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,35 @@ def test_unopposed_beneficial_mutation_climbs():
 
 
 # -- guard rails -------------------------------------------------------------
+
+
+def traced_peak(run) -> int:
+    """Bytes ``run()`` holds at its peak beyond what was held before it,
+    as tracemalloc sees them; numpy reports its arrays' buffers there."""
+    outer = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
+PINNED_PEAK = 3_266_114  # bytes, measured with CPython 3.11 and numpy 2.4
+
+
+def test_a_tracked_run_holds_at_most_its_pinned_peak():
+    """A tracked 16x16 purifying run through three prunes peaks within 10%
+    of its pinned peak, which the tournament's draw block and the tracker's
+    reserved buffers set."""
+    config = GridConfig(
+        16, 16, 2000, layout="fitness", treatment=Treatment(mode="purifying"),
+        track_perfect=True,
+    )
+    assert traced_peak(lambda: DeterministicGrid(config).run(24)) <= PINNED_PEAK * 1.1
 
 
 def test_counter_overflow_refuses_to_wrap():

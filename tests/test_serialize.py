@@ -295,3 +295,38 @@ def test_alife_round_trip(seed, forest):
         t.founder_tag[i] = i
     back = import_alife_csv(export_alife_csv(t))
     assert canon(back) == canon(t)
+
+
+@pytest.mark.parametrize(
+    "a, b, node",
+    [(" pad ", "fine", 1), ("fine", "", 2), ("tail\t", "fine", 1), ("fine", "car\rriage", 2)],
+)
+def test_alife_export_refuses_a_label_that_would_not_read_back(a, b, node):
+    bad = b if node == 2 else a
+    message = f"node {node}: label {bad!r} would not read back unchanged"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        export_alife_csv(cherry(a=a, b=b))
+
+
+def test_alife_refuses_a_padded_and_an_empty_label_in_one_cherry():
+    with pytest.raises(ValueError, match=r"^node 1: label ' pad ' "):
+        export_alife_csv(cherry(a=" pad ", b=""))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.none() | label_text, min_size=1, max_size=20))
+def test_alife_round_trip_keeps_every_label_it_writes(seed, labels):
+    t = random_tree(seed, max_leaves=12)
+    t.label[:] = [labels[i % len(labels)] for i in range(len(t.label))]
+    try:
+        text = export_alife_csv(t)
+    except ValueError:
+        assert any(x is not None and (x.strip() != x or not x) for x in t.label)
+        return
+    assert import_alife_csv(text) == t
+
+
+def test_alife_round_trip_keeps_ordinary_labels():
+    t = cherry(a="pe0_1_2", b="a, 'quoted' \"name\"")
+    t.label[0] = "inner  space"
+    assert import_alife_csv(export_alife_csv(t)) == t

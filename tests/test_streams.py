@@ -108,6 +108,31 @@ def test_to_index_truncates_the_scaled_uniform(xs, bound):
     assert np.array_equal(streams.to_index(vals, bound), expected)
 
 
+@pytest.mark.parametrize("s", range(1, 54))
+def test_to_index_of_a_power_of_two_is_the_float_formula_exactly(s):
+    """A bound 2**s keeps the draw's top s bits, as the scaled uniform
+    does: checked at both ends and on either side of every step."""
+    steps = np.arange(1, min(1 << s, 4096), dtype=np.uint64) << np.uint64(64 - s)
+    if s > 12:  # the last steps too, not only the first 4095
+        steps = np.concatenate([steps, -steps])
+    one = np.uint64(1)
+    ends = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+    vals = np.concatenate([ends, steps - one, steps, steps + one])
+    expected = (streams.to_unit(vals) * 2**s).astype(np.int64)
+    assert np.array_equal(streams.to_index(vals, 2**s), expected)
+
+
+@pytest.mark.parametrize("bound", [7, 48, 2**54, 3 * 2**20])
+def test_to_index_of_other_bounds_is_the_float_formula(bound):
+    """Past 2**53, and at bounds that are not powers of two, the draw's
+    low bits do not survive, as they would under a shift."""
+    vals = np.concatenate(
+        [scalar_draws(3, 1, 0, 2000), np.array([0, (1 << 64) - 1], dtype=np.uint64)]
+    )
+    expected = (streams.to_unit(vals) * bound).astype(np.int64)
+    assert np.array_equal(streams.to_index(vals, bound), expected)
+
+
 def test_normal_magnitudes_nonnegative_and_spread():
     u1 = streams.to_unit(scalar_draws(3, 1, 0, 20000))
     u2 = streams.to_unit(scalar_draws(3, 1, 20000, 20000))

@@ -661,14 +661,56 @@ def test_a_tracked_grid_holds_at_most_two_rows_per_live_id(tracked_grid):
 def test_a_tracked_grid_peaks_at_a_few_rows_per_agent(tracked_grid):
     """The rows held peak just before a prune, at about the births since
     the last one plus the survivors: about 10 rows per agent pruning every
-    8 cycles (about 34 every 32).  The buffers hold at most a quarter more
-    rows than that peak."""
+    8 cycles (about 34 every 32).  The buffers the engine reserves hold at
+    most a quarter more rows than that peak."""
     grid, _ = tracked_grid
     tr, cfg = grid.tracker, grid.config
     agents = cfg.width * cfg.height * cfg.population
     assert tr.peak_rows <= 12 * agents
     for buf in (tr._parent, tr._rank, tr._stamp):
         assert len(buf) <= tr.peak_rows * 5 // 4 + 1
+
+
+@pytest.mark.parametrize("layout", ["fitness", "tagged"])
+@pytest.mark.parametrize(
+    "asynchronous, loss_rate", [(False, 0.0), (True, 0.2)], ids=["lockstep", "async-lossy"]
+)
+def test_an_engine_run_never_grows_the_buffers_it_reserves(asynchronous, loss_rate, layout):
+    """The engine reserves the most rows a run can hold, so recording never
+    reallocates the buffers: the peak stays within them."""
+    treatment = Treatment(mode="purifying") if layout == "fitness" else Treatment()
+    config = GridConfig(
+        5, 4, 120, population=8, layout=layout, treatment=treatment, loss_rate=loss_rate,
+        track_perfect=True,
+    )
+    grid = DeterministicGrid(config, asynchronous=asynchronous)
+    tr = grid.tracker
+    parent, rank = tr._parent, tr._rank
+    grid.run()
+    assert tr._parent is parent and tr._rank is rank
+    assert 0 < tr.peak_rows <= len(parent)
+
+
+def test_siblings_keep_their_order_once_births_pass_2_to_the_31():
+    """Sibling keys are birth serials, which pass 2**31 on long runs while
+    rows stay int32.  The birth counter is set white-box so that the two
+    children's keys straddle 2**31."""
+    tr = LineageTracker()
+    founder = record_birth(tr, NO_PARENT, 0)
+    tr._births = 2**31 - 1  # white-box: the next row's key
+    a = record_birth(tr, founder, 1)  # key 2**31 - 1
+    b = record_birth(tr, founder, 1)  # key 2**31
+    kids = tr.record_cohort(np.array([b, a]), np.array([2, 2]))  # keys 2**31 + 1, + 2
+    tree = tr.to_tree(kids, ["B", "A"])
+    assert [leaf.label for leaf in tree.leaves()] == ["A", "B"]
+    tr.prune(kids)  # a and b are spliced out; each child keeps its parent's key
+    kids = tr.renumbered(kids)
+    tree = tr.to_tree(kids, ["B", "A"])
+    assert [leaf.label for leaf in tree.leaves()] == ["A", "B"]
+    late = tr.record_cohort(kids[::-1], np.array([3, 3]))  # keys past 2**31 + 2
+    tr.prune(late)
+    tree = tr.to_tree(tr.renumbered(late), ["A", "B"])
+    assert [leaf.label for leaf in tree.leaves()] == ["A", "B"]
 
 
 def assert_handles_are_rows(grid: DeterministicGrid) -> int:
