@@ -7,36 +7,38 @@ proportional to the live population instead of total births.  The
 engine prunes every 8 cycles, so the rows held peak at the survivors
 plus 8 cohorts: about 10 rows per agent on a 16x16 grid of 32.
 
-Handles are row positions.  ``record_cohort`` takes parent rows
+Handles are row positions, int32.  ``record_cohort`` takes parent rows
 (NO_PARENT for founders) and returns the new rows.  ``prune(live)``
-moves the rows it keeps to the front, in order, and returns how many
-it removed; ``renumbered(live)``, read right after it, gives the live
-rows' new positions, and every other handle from before is void.  A
-row outside [0, len(tracker)) or below NO_PARENT raises KeyError, but
-a void handle inside that range names some other row unnoticed.
+moves the rows it keeps to the front, in sibling order (below), and
+returns how many it removed; ``renumbered(live)``, read right after it,
+gives the live rows' new positions, and every other handle from before
+is void.  A row outside [0, len(tracker)) or below NO_PARENT raises
+KeyError, but a void handle inside that range names some other row
+unnoticed.
 
 Storage: two column buffers, reserved at construction and reused
 across prunes: each row's parent row (int32, NO_PARENT for founders)
-and its birth rank (uint32), 8 bytes per row, plus a 4-byte scratch
-stamp per buffer row.  The engine reserves the most rows its run can
-hold, so it never reallocates them; past the reservation they grow by a
-quarter at a time.  While pruning and building trees the stamp first
-counts each row's children, then maps rows to new positions, and the
-splice's own row arrays are int32 as well.  Each survivor of the last
-prune also holds its sibling-order key (int64, below), 8 bytes more:
-keys count births, which pass 2**31 on long runs.  Positions fit
-because the buffers stay below 2**31 rows, and ranks (deposit counters)
-lie in [0, 2**32).
+and its birth rank (uint32), 8 bytes per row, survivors of a prune
+included, plus a 4-byte scratch stamp per buffer row.  The engine
+reserves the most rows its run can hold, so it never reallocates them;
+past the reservation they grow by a quarter at a time.  While pruning
+and building trees the stamp first counts each row's children, then
+maps rows to new positions, and the splice's own row arrays are int32
+as well.  Positions fit because the buffers stay below 2**31 rows, and
+ranks (deposit counters) lie in [0, 2**32).
 
 A prune and ``to_tree`` share one splice.  It takes the closure of a
 set of rows (the rows in it or ancestral to one of them) and keeps only
 the rows in the set or with two or more children in the closure, each
 pointing at its nearest kept ancestor: the rows in between are
 unifurcations.  So at most 2L - 1 rows survive for L distinct rows in
-the set.  Siblings are ordered by key: a row's birth serial, or for a
-survivor that of the topmost row of the run it absorbed, so a prune
-changes no tree.  ``to_tree`` is a splice to the samples, laid out one
-node per kept row in key order.
+the set.  Row order is sibling order: cohorts are recorded in birth
+order, and a splice lays the rows it keeps out in the order of their
+heads, the top of the unifurcation run each absorbed (or the row
+itself).  Heads are distinct, and a kept row's parent precedes its
+head, so parents still precede their children and row order stays the
+birth order of each row's topmost absorbed ancestor: a prune changes no
+tree.  ``to_tree`` is a splice to the samples, one node per kept row.
 
 The splice sweeps the rows recorded since the last prune cohort by
 cohort, newest first.  Every parent sits in an earlier cohort, so when a
@@ -47,7 +49,8 @@ visited mask, to their ancestors; only those count their children, and
 the others are dropped unvisited.  Each unifurcation then finds the top
 of its run by pointer doubling.  So a prune costs in proportion to the
 rows recorded since the last one and the survivors they reach, plus a
-few vectorised scans and the moving of the survivors it keeps.
+few vectorised scans, a table over the rows held that lays the kept
+rows out, and the moving of the survivors it keeps.
 
 Birth rank is lineage-local time: the deposit counter the newborn
 carried at its first deposit.  For lineages that never sat in a
@@ -79,9 +82,7 @@ class LineageTracker:
         self._parent = np.empty(capacity, dtype=np.int32)  # row of each row's parent
         self._rank = np.empty(capacity, dtype=np.uint32)
         self._n = 0  # rows held: survivors first, then rows recorded since
-        self._key = np.empty(0, dtype=np.int64)  # survivors: key atop the run each absorbed
         self._cohorts: list[int] = []  # first row of each cohort recorded since
-        self._births = 0  # births so far: the next row's key
         self._stamp = np.empty(1, dtype=np.int32)
         self._peak = 0  # most rows held at once, up to the last prune
         self.rows_pruned = 0  # running total over every prune
@@ -117,23 +118,15 @@ class LineageTracker:
         self._rank[start:end] = ranks
         self._cohorts.append(start)
         self._n = end
-        self._births += m
-        return np.arange(start, end, dtype=np.int64)
+        return np.arange(start, end, dtype=np.int32)
 
-    def _key_of(self, rows: np.ndarray) -> np.ndarray:
-        """Each row's key: a survivor's stored one, else its birth serial."""
-        out = rows.astype(np.int64)  # births pass 2**31 on long runs
-        out += self._births - self._n
-        old = (rows < self._key.size).nonzero()[0]
-        out[old] = self._key.take(rows.take(old))
-        return out
-
-    def _splice(self, live: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rows live or branching in the closure of ``live``, in order;
-        the position among them of each one's nearest kept ancestor
-        (NO_PARENT for none); and the head of the run each absorbed.  The
-        stamp then maps each kept row to its position."""
-        n, k, parent = self._n, self._key.size, self._parent
+    def _splice(self, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows live or branching in the closure of ``live``, in sibling
+        order, and the position among them of each one's nearest kept
+        ancestor (NO_PARENT for none).  The stamp then maps each kept row to
+        its position."""
+        n, parent = self._n, self._parent
+        k = self._cohorts[0] if self._cohorts else n  # survivors of the last prune
         at = np.asarray(live, dtype=np.int64)
         if at.size and (at.min() < 0 or at.max() >= n):
             raise KeyError("no such tracker row")
@@ -182,9 +175,9 @@ class LineageTracker:
         for rows, named, which in ((kept, below, held >= 2), (through, above, held == 1)):
             rows.append(row.compress(which))
             named.append(up.compress(which))
-        through, above = np.concatenate(through[::-1]), np.concatenate(above[::-1])
+        through, above = np.concatenate(through), np.concatenate(above)
         climbs = count.take(above) == 1  # the parent is a unifurcation too
-        kept, below = np.concatenate(kept[::-1]), np.concatenate(below[::-1])
+        kept, below = np.concatenate(kept), np.concatenate(below)
         absorbs = count.take(below) == 1
         # Then the column points each unifurcation at the top of its run,
         # by pointer doubling, and each kept row at its new position.
@@ -198,20 +191,24 @@ class LineageTracker:
             hop = jump.take(jump.take(todo))
             jump[todo] = hop
             todo = todo.compress(jump.take(hop) != hop)
-        head = jump.take(below) - kept
-        head *= absorbs
-        head += kept  # the top of the run above, or the row itself
+        head = np.where(absorbs, jump.take(below), kept)  # the top of the run above, or the row
+        # Heads are distinct rows, and their order is sibling order: a table
+        # over the rows held lays the kept rows out in it.
+        jump[head] = kept
+        is_head = np.zeros(n, dtype=bool)
+        is_head[head] = True
+        head = is_head.nonzero()[0]
+        kept = jump.take(head)
         jump[kept] = np.arange(kept.size, dtype=np.int32)
-        return kept, jump.take(parent.take(head)), head
+        return kept, jump.take(parent.take(head))
 
     def prune(self, live: np.ndarray) -> int:
-        """Keep, in order, the rows live or ancestral to ``live`` that are
-        live or branch, each pointing at its nearest kept ancestor;
+        """Keep, in sibling order, the rows live or ancestral to ``live``
+        that are live or branch, each pointing at its nearest kept ancestor;
         returns rows removed.  NO_PARENT in ``live`` is skipped."""
-        live = np.asarray(live, dtype=np.int64)
-        rows, up, head = self._splice(live[live != NO_PARENT])
+        live = np.asarray(live)  # not cast: 2**64 - 1 would pass as NO_PARENT
+        rows, up = self._splice(live[live != NO_PARENT])
         k = rows.size
-        self._key = self._key_of(head)
         self._parent[:k] = up
         self._rank[:k] = self._rank.take(rows)
         removed = self._n - k
@@ -238,7 +235,7 @@ class LineageTracker:
         origin is the sample's birth rank; internal nodes carry their
         individual's birth rank.
 
-        The tree is a splice to the samples, one node per kept row in key
+        The tree is a splice to the samples, one node per kept row in row
         order.  A row sampled once and with no children is its sample's
         leaf; any other sampled row gets its sample leaves, in sample
         order, after its other children.
@@ -247,7 +244,7 @@ class LineageTracker:
             raise ValueError("one label per sampled row")
         if tags is not None and len(tags) != len(labels):
             raise ValueError("one tag per sampled row")
-        rows, up, head = self._splice(sample_rows)
+        rows, up = self._splice(sample_rows)
         at = self._stamp.take(sample_rows)
         k = rows.size
         kids = np.bincount(up[up != NO_PARENT], minlength=k)
@@ -255,14 +252,10 @@ class LineageTracker:
         who = np.full(k, -1)  # each row node's sample, or -1
         who[at[lone]] = np.flatnonzero(lone)
         hung = np.flatnonzero(~lone)  # the other samples, hung below their row's node
-        order = np.argsort(self._key_of(head))
-        node = np.full(k + 1, NO_PARENT)  # each kept row's node; the spare maps NO_PARENT
-        node[order] = np.arange(k)
-        anchor = np.concatenate([up[order], at[hung]])
-        who = np.concatenate([who[order], hung]).tolist()
+        who = np.concatenate([who, hung]).tolist()
         return PhyloTree.from_parents(
-            node[anchor].tolist(),
-            self._rank[rows[np.concatenate([order, at[hung]])]].astype(np.float64).tolist(),
+            np.concatenate([up, at[hung]]).tolist(),
+            self._rank[np.concatenate([rows, rows[at[hung]]])].astype(np.float64).tolist(),
             [None if i < 0 else labels[i] for i in who],
             [None if i < 0 or tags is None else tags[i] for i in who],
         )

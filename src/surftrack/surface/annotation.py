@@ -61,6 +61,12 @@ class SurfaceAnnotation:
             raise ValueError(
                 f"expected {self.slot_count} slot values, got {len(self.slots)}"
             )
+        if self.counter < 0:
+            raise ValueError(f"counter must be non-negative, got {self.counter}")
+        w = self.differentia_bits
+        for k, v in enumerate(self.slots):
+            if not 0 <= v < 1 << w:
+                raise ValueError(f"slot {k} value {v} out of range for {w} bit(s)")
 
     def deposit(self, value: int) -> None:
         """Record ``value`` for the current rank and advance the counter.

@@ -43,6 +43,19 @@ def test_value_range_enforced():
         ann8.deposit(-1)
 
 
+def test_construction_refuses_what_deposit_would():
+    with pytest.raises(ValueError, match=r"slot 3 value 7 out of range for 1 bit\(s\)"):
+        SurfaceAnnotation("steady", 8, 1, counter=5, slots=[0, 1, 0, 7, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"slot 0 value 256 out of range for 8 bit\(s\)"):
+        SurfaceAnnotation("steady", 8, 8, counter=5, slots=[256] + [0] * 7)
+    with pytest.raises(ValueError, match=r"slot 7 value -1 out of range for 3 bit\(s\)"):
+        SurfaceAnnotation("steady", 8, 3, counter=5, slots=[0] * 7 + [-1])
+    with pytest.raises(ValueError, match="counter must be non-negative, got -1"):
+        SurfaceAnnotation("steady", 8, counter=-1)
+    ann = SurfaceAnnotation("steady", 8, 3, counter=5, slots=[7] * 8)  # the widest values fit
+    assert set(ann.to_records().values) == {7}
+
+
 def test_counter_capacity_overflow():
     # capacity 8 means counters 0..7 are storable; the deposit that
     # would move the counter past 7 must refuse up front

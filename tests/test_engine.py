@@ -15,6 +15,7 @@ from surftrack.sim import streams
 from surftrack.sim.config import GridConfig, Treatment
 from surftrack.sim.engine import OPPOSITE, DeterministicGrid, neighbor_table
 from surftrack.surface.annotation import SurfaceAnnotation
+from surftrack.surface.sites import site
 
 
 def records_of(sample, config):
@@ -510,6 +511,72 @@ def test_unopposed_beneficial_mutation_climbs():
     assert (eng.pop["fit"] > 0.0).all()
 
 
+# -- what each stage samples, against closed forms ------------------------------
+#
+# These read only what a stage leaves in the population, so they hold for
+# any draw layout.  Each bound is four standard errors, or the chi-square
+# quantile at 0.999, at a fixed seed.
+
+CHI2_999 = {1: 10.828, 7: 24.322, 255: 330.52}  # by degrees of freedom
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8])
+def test_deposited_differentiae_are_uniform(bits):
+    """One deposit on 16,384 fresh lanes: the values at rank 0's slot
+    cover the 2**bits values evenly."""
+    eng = DeterministicGrid(
+        GridConfig(8, 8, 1, population=256, policy="steady", slot_count=16,
+                   differentia_bits=bits, seed=5)
+    )
+    eng._deposit(eng.pop, eng._all)
+    bit = site("steady", 0, 16) * eng._stride
+    words = eng.pop["surf"][..., bit // 64].ravel()
+    values = (words >> np.uint64(bit % 64)) & np.uint64(2**bits - 1)
+    counts = np.bincount(values.astype(np.int64), minlength=2**bits)
+    expected = values.size / 2**bits
+    assert ((counts - expected) ** 2 / expected).sum() <= CHI2_999[2**bits - 1]
+
+
+def mutated_once(treatment: Treatment) -> np.ndarray:
+    """The fitness of 32,768 lanes, all 0 before one mutate stage."""
+    eng = DeterministicGrid(
+        GridConfig(8, 8, 1, population=512, layout="fitness", treatment=treatment, seed=3)
+    )
+    eng._mutate(eng.pop, eng._all)
+    return eng.pop["fit"].ravel().astype(np.float64)
+
+
+GATES = {
+    "deleterious": lambda p, sigma: Treatment(
+        mode="purifying", deleterious_p=p, deleterious_sigma=sigma
+    ),
+    "beneficial": lambda p, sigma: Treatment(
+        mode="adaptive", deleterious_p=0.0, beneficial_p=p, beneficial_sigma=sigma
+    ),
+}
+
+
+@pytest.mark.parametrize("p", [0.05, 1 / 3, 0.8])
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_the_mutation_gate_opens_at_its_probability(gate, p):
+    fit = mutated_once(GATES[gate](p, 1.0))
+    n, hits = fit.size, np.count_nonzero(fit)
+    assert abs(hits - n * p) <= 4 * math.sqrt(n * p * (1 - p))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("gate", sorted(GATES))
+def test_mutation_magnitudes_are_half_normal(gate, sigma):
+    """Every lane mutates once: magnitudes have mean sigma * sqrt(2 / pi)
+    and second moment sigma**2, with the gate's sign."""
+    fit = mutated_once(GATES[gate](1.0, sigma))
+    size = -fit if gate == "deleterious" else fit
+    n = size.size
+    mean_se = sigma * math.sqrt((1 - 2 / math.pi) / n)
+    assert abs(size.mean() - sigma * math.sqrt(2 / math.pi)) <= 4 * mean_se
+    assert abs((size**2).mean() - sigma**2) <= 4 * sigma**2 * math.sqrt(2 / n)
+
+
 # -- guard rails -------------------------------------------------------------
 
 
@@ -528,7 +595,7 @@ def traced_peak(run) -> int:
             tracemalloc.stop()
 
 
-PINNED_PEAK = 3_266_114  # bytes, measured with CPython 3.11 and numpy 2.4
+PINNED_PEAK = 3_000_394  # bytes, measured with CPython 3.11 and numpy 2.4
 
 
 def test_a_tracked_run_holds_at_most_its_pinned_peak():

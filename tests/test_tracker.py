@@ -310,18 +310,26 @@ def test_ids_not_held_are_rejected(method, case):
     tr, founder, a, b = family()
     tr.prune(np.array([a]))  # drops b and splices out the founder
     c = record_birth(tr, row_after_prune(tr, a), 2)
-    bad = {"past-the-end": c + 1, "negative": -2}[case]
-    ids = np.array([c, bad])
-    with pytest.raises(KeyError):
-        if method == "prune":
-            tr.prune(ids)
-        elif method == "to_tree":
-            tr.to_tree(ids, ["C", "X"])
-        else:
-            tr.record_cohort(ids, np.full(2, 3))
-    assert len(tr) == 2  # a failed call leaves the records alone
+    # 2**32 would name row 0 if it were narrowed to int32 before its check.
+    for bad in {"past-the-end": [c + 1, 2**32], "negative": [-2]}[case]:
+        ids = np.array([c, bad])
+        with pytest.raises(KeyError):
+            if method == "prune":
+                tr.prune(ids)
+            elif method == "to_tree":
+                tr.to_tree(ids, ["C", "X"])
+            else:
+                tr.record_cohort(ids, np.full(2, 3))
+        assert len(tr) == 2  # a failed call leaves the records alone
     d = record_birth(tr, c, 3)  # and the next row is still the next one
     assert d == c + 1
+
+
+def test_prune_rejects_a_uint64_row_that_would_wrap_to_no_parent():
+    tr, founder, a, b = family()
+    with pytest.raises(KeyError):
+        tr.prune(np.array([a, 2**64 - 1], dtype=np.uint64))
+    assert len(tr) == 3
 
 
 @pytest.mark.parametrize("rank", [-1, 2**32, 2**40])
@@ -355,10 +363,12 @@ class Mirror:
     checked for the rows it drops, the rows it holds (against
     :func:`brute_spliced`, and at most two per live id), the running
     total and the renumbering, which puts each live id at its place
-    among the held ids in id order; ``check_tree`` compares ``to_tree``
-    with :func:`brute_tree`, child order included.  ``named`` holds the
-    ids the tracker must still accept: the last prune's live ids and
-    every id recorded since; ``row`` maps each to its current row.
+    among the held ids ordered by head (the topmost id of the unary run
+    above each, or the id itself), with every parent row before its
+    children; ``check_tree`` compares ``to_tree`` with :func:`brute_tree`,
+    child order included.  ``named`` holds the ids the tracker must still
+    accept: the last prune's live ids and every id recorded since; ``row``
+    maps each to its current row.
     """
 
     def __init__(self) -> None:
@@ -401,12 +411,20 @@ class Mirror:
         self.named = {int(x) for x in live}
         renumbered = self.tr.renumbered(live_rows).tolist()
         self.row = {NO_PARENT: NO_PARENT, **dict(zip(map(int, live), renumbered))}
-        at = {i: k for k, i in enumerate(sorted(expected))}  # kept rows stay in id order
+        at = {i: k for k, i in enumerate(sorted(expected, key=self.head))}
         assert all(self.row[i] == at[i] for i in self.named)
+        parent = self.tr._parent[: len(self.tr)]
+        assert (parent < np.arange(parent.size)).all()  # NO_PARENT included
         self.pruned += removed
         assert len(self.tr) == len(expected)
         assert len(self.tr) <= max(2 * len(self.named) - 1, 0)
         assert self.tr.rows_pruned == self.pruned
+
+    def head(self, x: int) -> int:
+        """The last id on the walk up from a held id before the next held one."""
+        while self.parent_of[x] != NO_PARENT and self.parent_of[x] not in self.held:
+            x = self.parent_of[x]
+        return x
 
     def check_tree(self, sample) -> None:
         sample = [int(s) for s in sample]
@@ -692,22 +710,21 @@ def test_an_engine_run_never_grows_the_buffers_it_reserves(asynchronous, loss_ra
 
 
 def test_siblings_keep_their_order_once_births_pass_2_to_the_31():
-    """Sibling keys are birth serials, which pass 2**31 on long runs while
-    rows stay int32.  The birth counter is set white-box so that the two
-    children's keys straddle 2**31."""
+    """Siblings come out in birth order of the topmost row of the run each
+    absorbed, before a prune and after it.  Row order is that order, so no
+    birth count is kept and none can pass 2**31 on a long run."""
     tr = LineageTracker()
     founder = record_birth(tr, NO_PARENT, 0)
-    tr._births = 2**31 - 1  # white-box: the next row's key
-    a = record_birth(tr, founder, 1)  # key 2**31 - 1
-    b = record_birth(tr, founder, 1)  # key 2**31
-    kids = tr.record_cohort(np.array([b, a]), np.array([2, 2]))  # keys 2**31 + 1, + 2
+    a = record_birth(tr, founder, 1)
+    b = record_birth(tr, founder, 1)
+    kids = tr.record_cohort(np.array([b, a]), np.array([2, 2]))
     tree = tr.to_tree(kids, ["B", "A"])
     assert [leaf.label for leaf in tree.leaves()] == ["A", "B"]
-    tr.prune(kids)  # a and b are spliced out; each child keeps its parent's key
+    tr.prune(kids)  # a and b are spliced out; each child takes its parent's place
     kids = tr.renumbered(kids)
     tree = tr.to_tree(kids, ["B", "A"])
     assert [leaf.label for leaf in tree.leaves()] == ["A", "B"]
-    late = tr.record_cohort(kids[::-1], np.array([3, 3]))  # keys past 2**31 + 2
+    late = tr.record_cohort(kids[::-1], np.array([3, 3]))
     tr.prune(late)
     tree = tr.to_tree(tr.renumbered(late), ["A", "B"])
     assert [leaf.label for leaf in tree.leaves()] == ["A", "B"]
@@ -765,9 +782,9 @@ def test_prune_renumbers_the_live_rows_in_their_order():
     c, d = tr.record_cohort(np.array([b, a]), np.array([2, 2]))
     live = np.array([d, b, d, NO_PARENT, founder])
     assert tr.prune(live) == 2  # c dies, and a, with one child, is spliced out
-    assert tr.renumbered(live).tolist() == [2, 1, 2, NO_PARENT, 0]
-    # d's run starts at a, born before b, so it still comes first.
-    tree = tr.to_tree(np.array([2, 1, 0]), ["D", "B", "F"])
+    # d's run starts at a, born before b, so d comes first.
+    assert tr.renumbered(live).tolist() == [1, 2, 1, NO_PARENT, 0]
+    tree = tr.to_tree(np.array([1, 2, 0]), ["D", "B", "F"])
     assert tree.parent == [-1, 0, 0, 0]
     assert tree.label == [None, "D", "B", "F"]
     assert tree.origin_time == [0.0, 2.0, 1.0, 0.0]
