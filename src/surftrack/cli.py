@@ -224,8 +224,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         stats["tracker_rows"] = len(grid.tracker)
         stats["tracker_rows_pruned"] = grid.tracker.rows_pruned
         stats["tracker_peak_rows"] = grid.tracker.peak_rows
-    # A sample's live slots depend on its counter alone: one residency
-    # table per distinct counter gives every sample's record count.
+    # A sample's live slots depend on its counter alone: the process's
+    # residency table of each distinct counter gives every sample's record count.
     counters = np.array([s.fields.counter for s in samples], dtype=np.int64)
     distinct, group = np.unique(counters, return_inverse=True)
     held = [len(residency(config.policy, config.slot_count, c)[0]) for c in distinct.tolist()]

@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .surface import sites
-from .surface.annotation import residency
+from .surface.annotation import _residency
 
 
 def replay(
@@ -61,8 +61,9 @@ def retained_ranks(policy: str, slot_count: int, n_deposits: int) -> list[int]:
 
 
 def closed_form_retained(policy: str, slot_count: int, n_deposits: int) -> dict[int, int]:
-    """Map slot -> resident rank via the closed-form inversions."""
-    ranks, slots = residency(policy, slot_count, n_deposits)
+    """Map slot -> resident rank via the closed-form inversions, uncached,
+    so a check never reads a table an earlier call left behind."""
+    ranks, slots = _residency(policy, slot_count, n_deposits)
     return dict(zip(slots, ranks))
 
 

@@ -161,7 +161,10 @@ class DeterministicGrid:
         # Each lane's first candidate draw within its own stream's block.
         self._cand_steps = np.arange(K, dtype=np.uint64) * np.uint64(n)
         self._tie_steps = np.arange(K * n, 2 * K * n, dtype=np.uint64)  # tie draws in a block
-        self._tie_cols = np.arange(n, dtype=np.uint64)  # j of each candidate
+        # j of each candidate, for a PE's whole row of K*n keys at once.
+        self._tie_cols = np.tile(np.arange(n, dtype=np.uint64), K)
+        # Each lane's first place among the scored tournament's candidates.
+        self._lane_cands = np.arange(0, P * K * n, n) if config.layout != "tagged" else None
         w = config.differentia_bits  # the surface words: see the module docstring
         self._stride = 1 << (w - 1).bit_length()
         self._field = np.uint64((1 << w) - 1)
@@ -336,9 +339,9 @@ class DeterministicGrid:
             # are read; the cursors still pass the whole block.
             start = self.bank.skip(ids, 2 * KN)
             key = self.bank.at(ids, start, self._tie_steps)
-        key = key.reshape(m, K, n)
         key |= _TIE_LOW
         key -= self._tie_cols
+        key = key.reshape(m, K, n)
         if "fit" in pop:
             fit = pop["fit"].reshape(-1).take(cand).reshape(m, K, n)
             best = fit[..., 0]
@@ -351,7 +354,7 @@ class DeterministicGrid:
         col = _TIE_LOW - (top & _TIE_LOW)
         if "fit" in pop:
             at = col.view(np.int64)
-            at += np.arange(0, L * n, n).reshape(m, K)  # each winner's place in cand
+            at += self._lane_cands[:L].reshape(m, K)  # each winner's place in cand
             winner = cand.reshape(-1).take(at)
         else:
             winner = streams.to_index(self.bank.at(ids, start, self._cand_steps + col), K)

@@ -1,12 +1,24 @@
-"""Per-lineage surface state: deposit, inversion, record extraction."""
+"""Per-lineage surface state: deposit, inversion, record extraction.
+
+Which ranks a surface holds depends on its counter alone, so
+:func:`residency` keeps one table per counter for the whole process in a
+bounded LRU cache: every record set of a given counter, from
+:meth:`SurfaceAnnotation.to_records` or :func:`surface_records`, holds
+the same ``held`` tuple.  :func:`_residency` is the same inversion
+uncached, for checks that must not read the cache.
+"""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sites
+
+#: Counters whose residency table :func:`residency` keeps cached.
+RESIDENCY_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,6 +75,10 @@ class SurfaceAnnotation:
             )
         if self.counter < 0:
             raise ValueError(f"counter must be non-negative, got {self.counter}")
+        if self.counter_capacity is not None and self.counter >= self.counter_capacity:
+            raise ValueError(
+                f"counter {self.counter} is at or past its capacity {self.counter_capacity}"
+            )
         w = self.differentia_bits
         for k, v in enumerate(self.slots):
             if not 0 <= v < 1 << w:
@@ -100,15 +116,28 @@ class SurfaceAnnotation:
         return RecordSet(held, tuple(self.slots[s] for s in slots), self.counter)
 
 
+@functools.lru_cache(maxsize=RESIDENCY_CACHE_SIZE)
 def residency(
     policy: str, slot_count: int, counter: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The ranks resident after ``counter`` deposits, ascending, and the
-    slots that hold them.
+    slots that hold them: :func:`_residency`, cached.
 
     Residency depends on the counter alone, so every surface with the
-    same counter reads its records through the same table.  No two slots
-    hold one rank, so ordering by rank fixes the slot order too.
+    same counter, in any call, reads its records through the same table.
+    The cache keeps the last ``RESIDENCY_CACHE_SIZE`` tables.  At 64
+    slots an entry costs about 3.6 KB in the worst case (64 ranks past
+    2**30, the cache's own bookkeeping included), so under 4 MB when full.
+    """
+    return _residency(policy, slot_count, counter)
+
+
+def _residency(
+    policy: str, slot_count: int, counter: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Uncached :func:`residency`, straight from the closed-form inversions.
+
+    No two slots hold one rank, so ordering by rank fixes the slot order too.
     """
     sites.validate_slot_count(policy, slot_count)
     held = sorted(
@@ -125,8 +154,9 @@ def surface_records(
     """Record sets of many surfaces at once, one per row of ``surfaces``.
 
     ``counters`` is (n,) and ``surfaces`` is an (n, slot_count) uint8
-    array.  The residency table is computed once per distinct counter,
-    and its rank tuple is shared by every record set of that counter.
+    array.  Each distinct counter's residency table is read once, and its
+    rank tuple is shared by every record set of that counter in the
+    process.
     """
     out: list[RecordSet] = [None] * len(counters)  # type: ignore[list-item]
     distinct, group = np.unique(np.asarray(counters, dtype=np.int64), return_inverse=True)

@@ -1,8 +1,14 @@
 """SurfaceAnnotation deposit/recovery behavior."""
 
+import numpy as np
 import pytest
 
-from surftrack.surface.annotation import SurfaceAnnotation
+from surftrack.surface.annotation import (
+    RESIDENCY_CACHE_SIZE,
+    SurfaceAnnotation,
+    residency,
+    surface_records,
+)
 
 
 def test_deposit_sequence_matches_inversion():
@@ -67,6 +73,14 @@ def test_counter_capacity_overflow():
     assert ann.counter == 7
 
 
+def test_construction_refuses_a_counter_past_its_capacity():
+    with pytest.raises(ValueError, match="counter 10 is at or past its capacity 8"):
+        SurfaceAnnotation("steady", 8, counter=10, counter_capacity=8)
+    with pytest.raises(ValueError, match="counter 8 is at or past its capacity 8"):
+        SurfaceAnnotation("steady", 8, counter=8, counter_capacity=8)
+    assert SurfaceAnnotation("steady", 8, counter=7, counter_capacity=8).to_records().counter == 7
+
+
 def test_unbounded_when_capacity_omitted():
     ann = SurfaceAnnotation("steady", 8)
     for _ in range(100_000):
@@ -93,3 +107,21 @@ def test_resident_rank_tracks_overwrites():
     assert all(snap[0] == 0 for snap in seen.values())
     # by 13 deposits the retained set is the evenly spaced one
     assert sorted(r for r in seen[12].values() if r is not None) == [0, 4, 8, 12]
+
+
+def test_record_sets_of_one_counter_share_their_ranks_across_calls():
+    a = SurfaceAnnotation("hybrid", 16, 8, counter=1234, slots=[3] * 16).to_records()
+    b = SurfaceAnnotation("hybrid", 16, 8, counter=1234, slots=[5] * 16).to_records()
+    assert a.held is b.held and a.values != b.values
+    surfaces = np.zeros((2, 16), dtype=np.uint8)
+    first = surface_records("hybrid", 16, np.array([1234, 77]), surfaces)
+    again = surface_records("hybrid", 16, np.array([77, 1234]), surfaces)
+    assert first[0].held is again[1].held is a.held
+    assert first[1].held is again[0].held
+
+
+def test_the_residency_cache_stays_within_its_size():
+    for counter in range(RESIDENCY_CACHE_SIZE + 100):
+        residency("tilted", 16, counter)
+        assert residency.cache_info().currsize <= RESIDENCY_CACHE_SIZE
+    assert residency.cache_info().currsize == RESIDENCY_CACHE_SIZE

@@ -1,12 +1,14 @@
 """The asynchronous step-or-stall schedule against its lockstep contract."""
 
+import math
+
 import numpy as np
 import pytest
 
 from surftrack.phylo.serialize import export_alife_csv
 from surftrack.sim import engine
 from surftrack.sim.config import GridConfig, Treatment
-from surftrack.sim.engine import MAX_NEIGHBOR_LEAD, DeterministicGrid
+from surftrack.sim.engine import MAX_NEIGHBOR_LEAD, STEP_P, DeterministicGrid
 
 
 def lone_pe_config(**overrides) -> GridConfig:
@@ -120,6 +122,46 @@ def test_no_pe_leads_a_neighbor_by_more_than_the_bound():
     grid.run()
     assert len(leads) == grid.cycle
     assert max(leads) == MAX_NEIGHBOR_LEAD  # the bound binds, and holds
+
+
+def test_an_eligible_pe_steps_at_step_p():
+    """A PE below the run's goal and fewer than MAX_NEIGHBOR_LEAD
+    generations ahead of its slowest neighbor steps with chance STEP_P in a
+    cycle, within four standard errors; no other PE steps."""
+    grid = DeterministicGrid(
+        GridConfig(width=8, height=8, generations=300, population=4, seed=3),
+        asynchronous=True,
+    )
+    trials = steps = 0
+    step = grid.step_cycle
+
+    def counted_step():
+        nonlocal trials, steps
+        gen = grid.generation.copy()
+        slowest = np.where(grid.valid, gen[grid.nbr], gen.max()).min(axis=0)
+        eligible = (gen < grid._goal) & (gen - slowest < MAX_NEIGHBOR_LEAD)
+        step()
+        stepped = grid.generation > gen
+        assert not (stepped & ~eligible).any()
+        trials += int(eligible.sum())
+        steps += int(stepped.sum())
+
+    grid.step_cycle = counted_step
+    grid.run()
+    assert trials > 10_000
+    assert abs(steps - trials * STEP_P) <= 4 * math.sqrt(trials * STEP_P * (1 - STEP_P))
+
+
+def test_a_schedule_draw_at_step_p_stalls(monkeypatch):
+    """An eligible PE steps when its schedule uniform falls strictly below
+    STEP_P: a uniform of exactly STEP_P stalls, the one just below steps."""
+    grid = DeterministicGrid(
+        GridConfig(width=3, height=3, generations=10, population=4), asynchronous=True
+    )
+    grid._goal = 10
+    for u, steps in ((STEP_P, False), (np.nextafter(STEP_P, 0.0), True)):
+        monkeypatch.setattr(engine.streams, "to_unit", lambda draws, u=u: np.full(draws.shape, u))
+        assert (grid._schedule() == steps).all()
 
 
 def test_migration_flows_everywhere():

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from surftrack import oracle
 from surftrack.surface import sites
-from surftrack.surface.annotation import RecordSet, SurfaceAnnotation, surface_records
+from surftrack.surface.annotation import (
+    RecordSet,
+    SurfaceAnnotation,
+    residency,
+    surface_records,
+)
 from surftrack.surface.genome import (
     GenomeFields,
     GenomeLayout,
@@ -209,6 +214,7 @@ def test_residency_records_match_replay(policy, slot_count, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sites, "resident_rank", counted)
+    residency.cache_clear()  # count the inversions, not reads of earlier tables
     got = surface_records(policy, slot_count, np.array(counters), surfaces)
     assert calls <= slot_count * len(distinct)
     monkeypatch.setattr(sites, "resident_rank", real)

@@ -514,10 +514,10 @@ def test_unopposed_beneficial_mutation_climbs():
 # -- what each stage samples, against closed forms ------------------------------
 #
 # These read only what a stage leaves in the population, so they hold for
-# any draw layout.  Each bound is four standard errors, or the chi-square
-# quantile at 0.999, at a fixed seed.
+# any draw layout.  Each bound is four standard errors, or the chi-square or
+# Kolmogorov-Smirnov quantile at 0.999, at a fixed seed.
 
-CHI2_999 = {1: 10.828, 7: 24.322, 255: 330.52}  # by degrees of freedom
+CHI2_999 = {1: 10.828, 7: 24.322, 14: 36.123, 15: 37.697, 255: 330.52}  # by degrees of freedom
 
 
 @pytest.mark.parametrize("bits", [1, 3, 8])
@@ -575,6 +575,61 @@ def test_mutation_magnitudes_are_half_normal(gate, sigma):
     mean_se = sigma * math.sqrt((1 - 2 / math.pi) / n)
     assert abs(size.mean() - sigma * math.sqrt(2 / math.pi)) <= 4 * mean_se
     assert abs((size**2).mean() - sigma**2) <= 4 * sigma**2 * math.sqrt(2 / n)
+
+
+def tournament_winners(fit: np.ndarray | None, calls: int = 8) -> np.ndarray:
+    """The lane each slot wins in ``calls`` tournaments on a 16x16 grid of
+    16-lane PEs, shape (calls, P, K).  Every call starts from lanes
+    labelled 0..K-1 with the (P, K) fitness ``fit``; None runs the tagged
+    layout, where every lane scores 0."""
+    K = 16
+    layout = "tagged" if fit is None else "fitness"
+    eng = DeterministicGrid(GridConfig(16, 16, 1, population=K, layout=layout, seed=7))
+    won = np.empty((calls,) + eng.pop["counter"].shape, dtype=np.int64)
+    for call in range(calls):
+        eng.pop["counter"][:] = np.arange(K)  # lane labels
+        if fit is not None:
+            eng.pop["fit"][:] = fit
+        eng._tournament(eng.pop, eng._all)
+        won[call] = eng.pop["counter"]
+    return won
+
+
+def test_the_tournament_winners_rank_follows_the_closed_form():
+    """With K distinct fitnesses per PE, the winner of n candidates drawn
+    with replacement has fitness rank r <= m with chance ((m + 1) / K)**n;
+    the empirical law stays within the 0.999 Kolmogorov-Smirnov bound."""
+    P, K, n = 256, 16, GridConfig.tournament_size
+    rank = np.random.default_rng(0).permuted(np.tile(np.arange(K), (P, 1)), axis=1)
+    won = tournament_winners(rank.astype(np.float32))
+    got = rank[np.arange(P)[:, None], won].ravel()
+    cdf = np.cumsum(np.bincount(got, minlength=K)) / got.size
+    assert np.abs(cdf - ((np.arange(K) + 1) / K) ** n).max() <= 1.95 / math.sqrt(got.size)
+
+
+def within_group_chi2(counts: np.ndarray, groups: list[slice]) -> float:
+    """Chi-square of ``counts`` against uniform within each group."""
+    total = 0.0
+    for group in groups:
+        c = counts[group]
+        expected = c.sum() / c.size
+        total += float(((c - expected) ** 2 / expected).sum())
+    return total
+
+
+def test_tournament_winners_are_uniform_among_the_lanes_tied_at_their_fitness():
+    """Lanes 0..3 tie at the top and 4..15 at the bottom; given the fitness
+    it won at, the winner is any lane of that tie alike."""
+    K, top = 16, 4
+    fit = np.tile((np.arange(K) < top).astype(np.float32), (256, 1))
+    counts = np.bincount(tournament_winners(fit).ravel(), minlength=K)
+    assert within_group_chi2(counts, [slice(0, top), slice(top, K)]) <= CHI2_999[K - 2]
+
+
+def test_tagged_tournament_winners_are_uniform_over_all_lanes():
+    K = 16
+    counts = np.bincount(tournament_winners(None).ravel(), minlength=K)
+    assert within_group_chi2(counts, [slice(0, K)]) <= CHI2_999[K - 1]
 
 
 # -- guard rails -------------------------------------------------------------

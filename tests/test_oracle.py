@@ -52,6 +52,30 @@ def test_equivalence_detects_a_broken_inversion(monkeypatch):
     assert first.replayed == 4 and first.inverted == 5
 
 
+def test_equivalence_detects_a_broken_inversion_behind_a_warm_cache(monkeypatch):
+    """The cached residency tables hold the right ranks; the oracle must
+    still invert with the broken function rather than read them."""
+    from surftrack.surface import sites
+    from surftrack.surface.annotation import residency
+
+    residency.cache_clear()  # warm it with the true inversion, whatever ran before
+    for n in range(40):
+        residency("steady", 8, n)
+    real = sites.resident_rank
+
+    def broken(policy, slot, counter, slot_count):
+        r = real(policy, slot, counter, slot_count)
+        if r == 4:
+            return 5
+        return r
+
+    monkeypatch.setattr(oracle.sites, "resident_rank", broken)
+    mismatches = oracle.equivalence_mismatches("steady", 8, range(40))
+    assert mismatches
+    first = mismatches[0]
+    assert first.replayed == 4 and first.inverted == 5
+
+
 def test_equivalence_accepts_unsorted_checkpoints():
     a = oracle.equivalence_mismatches("steady", 8, [50, 10, 30])
     assert a == []
