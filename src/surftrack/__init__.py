@@ -6,6 +6,7 @@ Subpackages:
 * ``oracle``  -- brute-force replay and retention-gap audits
 * ``phylo``   -- tree reconstruction, serialization, and metrics
 * ``sim``     -- distributed-style evolution simulation on a PE grid
+* ``tables``  -- the header, row and field rules of every CSV input
 * ``cli``     -- command-line entry points
 """
 

@@ -8,10 +8,10 @@ Exit codes: 0 success, 1 failure (bad data, violated checks), 2 usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import glob
 import io
-import math
 import os
 import sys
 import time
@@ -24,8 +24,6 @@ from . import __version__, oracle
 from .phylo import metrics as phylo_metrics
 from .phylo.reconstruct import build_forest, rank_intersection, stitch_roots
 from .phylo.serialize import (
-    AlifeCsvError,
-    NewickParseError,
     export_alife_csv,
     export_newick,
     format_time,
@@ -34,16 +32,11 @@ from .phylo.serialize import (
 )
 from .sim.config import ConfigError, GridConfig, check_types
 from .sim.engine import DeterministicGrid
-from .sim.output import (
-    GenomesCsvError,
-    genomes_csv_text,
-    read_genomes_csv,
-    read_manifest,
-    write_manifest,
-)
+from .sim.output import genomes_csv_text, read_genomes_csv, read_manifest, write_manifest
 from .surface.annotation import residency
 from .surface.genome import GenomeLayout
 from .surface.sites import POLICIES
+from .tables import Table, finite
 
 
 def _grid_pair(text: str) -> tuple[int, int]:
@@ -146,22 +139,32 @@ def build_parser() -> argparse.ArgumentParser:
 # -- simulate ---------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _about(path: str | None):
+    """Prefix ``path`` to a ValueError raised inside, an error about that
+    file's contents; with no path, leave the error as it is."""
+    try:
+        yield
+    except ValueError as err:
+        if path is None:
+            raise
+        raise ValueError(f"{path}: {err}") from None
+
+
 def _load_config(args: argparse.Namespace, path: str | None) -> dict:
     """The run config in ``path`` (none if None), a bare config or a
     manifest holding one under "config", with every flag whose dest is a
     ``GridConfig`` field laid over it; type-checked, and errors name the file."""
-    data = {} if path is None else read_manifest(path)
-    if "config" in data:
-        data = data["config"]
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: 'config' must be a JSON object")
-    for f in fields(GridConfig):
-        if getattr(args, f.name, None) is not None:
-            data[f.name] = getattr(args, f.name)
-    try:
+    with _about(path):
+        data = {} if path is None else read_manifest(path)
+        if "config" in data:
+            data = data["config"]
+            if not isinstance(data, dict):
+                raise ConfigError("'config' must be a JSON object")
+        for f in fields(GridConfig):
+            if getattr(args, f.name, None) is not None:
+                data[f.name] = getattr(args, f.name)
         check_types(GridConfig, data)
-    except ConfigError as err:
-        raise ConfigError(f"{path}: {err}") from None
     return data
 
 
@@ -176,12 +179,8 @@ def _grid_config(args: argparse.Namespace) -> GridConfig:
             raise ConfigError(
                 f"missing {required}; pass --grid/--generations or a --config file"
             )
-    try:
+    with _about(args.config):
         return GridConfig.from_dict(base)
-    except ConfigError as err:
-        if args.config is None:
-            raise
-        raise ConfigError(f"{args.config}: {err}") from None
 
 
 def _spread(values: np.ndarray) -> dict[str, float]:
@@ -276,18 +275,23 @@ def _reconstruction_params(args: argparse.Namespace) -> tuple[GenomeLayout, str]
     return GenomeLayout(cfg["layout"], slots, bits), cfg["policy"]
 
 
+def _tree_extension(path: str) -> str | None:
+    """The extension of a tree file's ``path``, or None, said on stderr,
+    if it names no tree format."""
+    ext = os.path.splitext(path)[1].lower()
+    if ext in (".newick", ".csv"):
+        return ext
+    print(f"unsupported tree extension {ext!r}; use .newick or .csv", file=sys.stderr)
+    return None
+
+
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    ext = os.path.splitext(args.out)[1].lower()
-    if ext not in (".newick", ".csv"):
-        print(f"unsupported tree extension {ext!r}; use .newick or .csv", file=sys.stderr)
+    ext = _tree_extension(args.out)
+    if ext is None:
         return 2
     layout, policy = _reconstruction_params(args)
-    with open(args.genomes, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        rows = read_genomes_csv(text, layout, policy)
-    except GenomesCsvError as err:
-        raise GenomesCsvError(f"{args.genomes}: {err}") from None
+    with _about(args.genomes), open(args.genomes, encoding="utf-8") as fh:
+        rows = read_genomes_csv(fh.read(), layout, policy)
     if not rows:
         print("no genomes to reconstruct from", file=sys.stderr)
         return 1
@@ -318,20 +322,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 # -- metrics ------------------------------------------------------------------
 
 
-def _load_tree(path: str):
-    ext = os.path.splitext(path)[1].lower()
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        if ext == ".newick":
-            return parse_newick(text)
-        if ext == ".csv":
-            return import_alife_csv(text)
-    except (NewickParseError, AlifeCsvError) as err:
-        raise type(err)(f"{path}: {err}") from None
-    raise ValueError(f"unsupported tree extension {ext!r}; use .newick or .csv")
-
-
 def cmd_metrics(args: argparse.Namespace) -> int:
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in phylo_metrics.METRICS]
@@ -342,7 +332,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    tree = _load_tree(args.tree)
+    ext = _tree_extension(args.tree)
+    if ext is None:
+        return 2
+    with _about(args.tree), open(args.tree, encoding="utf-8") as fh:
+        tree = (parse_newick if ext == ".newick" else import_alife_csv)(fh.read())
     name = os.path.splitext(os.path.basename(args.tree))[0]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -371,21 +365,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def _metric_values(pattern: str, metric: str) -> list[float]:
     values = []
     for path in sorted(glob.glob(pattern)):
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = csv.reader(fh)
-            header = [name.strip() for name in next(rows, [])]
-            try:
-                mi, vi = header.index("metric"), header.index("value")
-            except ValueError:
-                raise ValueError(f"{path}: expected a tree,metric,value CSV") from None
-            for rownum, row in enumerate(rows, start=2):
-                if len(row) > max(mi, vi) and row[mi] == metric:
-                    try:
-                        values.append(float(row[vi]))
-                        if not math.isfinite(values[-1]):
-                            raise ValueError(f"not a finite number: {row[vi]!r}")
-                    except ValueError as err:
-                        raise ValueError(f"{path}: row {rownum}, field 'value': {err}") from None
+        with _about(path), open(path, encoding="utf-8", newline="") as fh:
+            table = Table(fh.read(), ("metric", "value"), ValueError)
+            for rownum, row in table.rows:
+                if table.cell(row, rownum, "metric", str) == metric:
+                    values.append(table.cell(row, rownum, "value", finite))
     return values
 
 
@@ -463,15 +447,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
-    except (
-        ConfigError,
-        GenomesCsvError,
-        AlifeCsvError,
-        NewickParseError,
-        OverflowError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (OverflowError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

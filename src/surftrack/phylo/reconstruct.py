@@ -17,6 +17,7 @@ common ancestor.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,9 +45,9 @@ def build_forest(
     entries = [(e[0], e[1], e[2] if len(e) > 2 else None) for e in annotations]
     if not entries:
         raise ValueError("no annotations to reconstruct from")
-    labels = [label for _, label, _ in entries]
-    if len(set(labels)) != len(labels):
-        dupe = next(x for x in labels if labels.count(x) > 1)
+    counts = Counter(label for _, label, _ in entries)
+    if len(counts) != len(entries):
+        dupe = next(x for x, n in counts.items() if n > 1)
         raise ValueError(f"leaf labels must be unique; {dupe!r} repeats")
     if len(entries) == 1:
         return _join(entries, [], [])

@@ -18,6 +18,7 @@ import io
 import math
 import re
 
+from ..tables import Table, finite
 from .tree import CycleError, PhyloTree
 
 
@@ -173,6 +174,14 @@ def _parse_tree(s: str, tree: PhyloTree) -> None:
         raise NewickParseError(f"origin time overflows at column {length_at[k]}")
 
 
+def _ancestor(cell: str) -> int | None:
+    """An ``ancestor_list`` cell's one ancestor id, None for ``[none]``."""
+    m = _ANCESTOR.match(cell)
+    if not m:
+        raise ValueError(f"must be [none] or [<id>], got {cell!r}")
+    return None if m.group(1) == "none" else int(m.group(1))
+
+
 ALIFE_COLUMNS = ("id", "ancestor_list", "origin_time", "taxon_label", "founder_tag")
 
 
@@ -210,54 +219,17 @@ def import_alife_csv(text: str) -> PhyloTree:
     exist, and ancestry must be acyclic.  Errors name the offending
     1-based file row.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise AlifeCsvError("row 1: empty file") from None
-    cols = {name.strip(): idx for idx, name in enumerate(header)}
-    for required in ("id", "ancestor_list", "origin_time"):
-        if required not in cols:
-            raise AlifeCsvError(f"row 1: missing required column {required!r}")
-
+    table = Table(text, ("id", "ancestor_list", "origin_time"), AlifeCsvError)
     at: dict[int, int] = {}  # id -> position, in file order
     columns: tuple[list, ...] = ([], [], [], [], [], [])
-    for rownum, row in enumerate(reader, start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        try:
-            node_id = int(row[cols["id"]])
-        except (ValueError, IndexError):
-            raise AlifeCsvError(f"row {rownum}: bad id") from None
+    for rownum, row in table.rows:
+        node_id = table.cell(row, rownum, "id", int)
         if node_id in at:
             raise AlifeCsvError(f"row {rownum}: duplicate id {node_id}")
-        try:
-            ancestors = row[cols["ancestor_list"]]
-        except IndexError:
-            raise AlifeCsvError(f"row {rownum}: missing ancestor_list") from None
-        m = _ANCESTOR.match(ancestors.strip())
-        if not m:
-            raise AlifeCsvError(
-                f"row {rownum}: ancestor_list must be [none] or [<id>], got {ancestors!r}"
-            )
-        try:
-            origin = float(row[cols["origin_time"]])
-        except (ValueError, IndexError):
-            raise AlifeCsvError(f"row {rownum}: bad origin_time") from None
-        if not math.isfinite(origin):
-            raise AlifeCsvError(f"row {rownum}: non-finite origin_time {origin!r}")
-        label = None
-        if "taxon_label" in cols and len(row) > cols["taxon_label"]:
-            label = row[cols["taxon_label"]].strip() or None
-        tag = None
-        if "founder_tag" in cols and len(row) > cols["founder_tag"]:
-            raw = row[cols["founder_tag"]].strip()
-            if raw:
-                try:
-                    tag = int(raw)
-                except ValueError:
-                    raise AlifeCsvError(f"row {rownum}: bad founder_tag {raw!r}") from None
-        up_id = None if m.group(1) == "none" else int(m.group(1))
+        up_id = table.cell(row, rownum, "ancestor_list", _ancestor)
+        origin = table.cell(row, rownum, "origin_time", finite)
+        label = table.cell(row, rownum, "taxon_label", lambda s: s or None, None)
+        tag = table.cell(row, rownum, "founder_tag", lambda s: int(s) if s else None, None)
         at[node_id] = len(at)
         for column, value in zip(columns, (rownum, node_id, up_id, origin, label, tag)):
             column.append(value)

@@ -466,10 +466,10 @@ class DeterministicGrid:
 
     # -- end-state access --------------------------------------------------
 
-    def sample_end_state(self, per_pe: int | None = None) -> list[SampledGenome]:
-        """Uniform seeded sample of ``per_pe`` genomes from every PE."""
+    def sample_end_state(self) -> list[SampledGenome]:
+        """Uniform seeded sample of ``sample_per_pe`` genomes from every PE."""
         cfg = self.config
-        k = cfg.sample_per_pe if per_pe is None else per_pe
+        k = cfg.sample_per_pe
         picks = streams.to_index(self.bank.draw(self._all, k), cfg.population)
         lanes = (picks + self._row_base).reshape(-1)
         col = {
@@ -485,9 +485,3 @@ class DeterministicGrid:
         xs, ys = (pe % cfg.width).tolist(), (pe // cfg.width).tolist()
         gids = col["gid"].tolist() if "gid" in col else [None] * len(lanes)
         return list(map(SampledGenome, xs, ys, sample_labels(xs, ys), fields, gids))
-
-    def founder_tag_count(self) -> int:
-        """Distinct founder tags still alive anywhere (population only)."""
-        if "tag" not in self.pop:
-            raise ValueError("fitness layout genomes carry no founder tag")
-        return len(np.unique(self.pop["tag"]))

@@ -14,6 +14,7 @@ import numpy as np
 from .. import __version__
 from ..surface.annotation import RecordSet, surface_records
 from ..surface.genome import GenomeLayout, pack_genomes, unpack_genomes
+from ..tables import Table
 from .config import GridConfig
 from .engine import SampledGenome, sample_labels
 
@@ -56,16 +57,6 @@ class GenomeRow:
     fitness: float | None
 
 
-def _cell(row: list[str], cols: dict[str, int], rownum: int, name: str, parse):
-    """Parse one named field of a genomes.csv row, or fail naming the row and field."""
-    try:
-        return parse(row[cols[name]].strip())
-    except IndexError:
-        raise GenomesCsvError(f"row {rownum}, field {name!r}: missing") from None
-    except ValueError as err:
-        raise GenomesCsvError(f"row {rownum}, field {name!r}: {err}") from None
-
-
 def read_genomes_csv(
     text: str, layout: GenomeLayout, policy: str
 ) -> list[GenomeRow]:
@@ -82,15 +73,7 @@ def read_genomes_csv(
     field anywhere is reported before a disagreement; then all genomes
     decode in one pass.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise GenomesCsvError("row 1: empty file") from None
-    cols = {name.strip(): i for i, name in enumerate(header)}
-    for required in ("pe_x", "pe_y", "genome_hex", "counter"):
-        if required not in cols:
-            raise GenomesCsvError(f"row 1: missing required column {required!r}")
+    table = Table(text, ("pe_x", "pe_y", "genome_hex", "counter"), GenomesCsvError)
 
     def genome(cell: str) -> bytes:
         return layout.check_length(bytes.fromhex(cell))
@@ -104,15 +87,13 @@ def read_genomes_csv(
     tagged = layout.kind == "tagged"
     extra = ("founder_tag", int) if tagged else ("fitness", float)
     fields = (("pe_x", coordinate), ("pe_y", coordinate), ("counter", int), ("genome_hex", genome))
-    if extra[0] in cols:
+    if extra[0] in table.columns:
         fields += (extra,)
     rownums: list[int] = []
     parsed: list[tuple] = []
-    for rownum, row in enumerate(reader, start=2):
-        if not "".join(row).strip():
-            continue
+    for rownum, row in table.rows:
         rownums.append(rownum)
-        parsed.append(tuple(_cell(row, cols, rownum, *field) for field in fields))
+        parsed.append(tuple(table.cell(row, rownum, *field) for field in fields))
     xs, ys, counters, blobs, *said = zip(*parsed) if parsed else ((),) * len(fields)
     genomes = unpack_genomes(layout, b"".join(blobs))
     for rownum, counter, packed in zip(rownums, counters, genomes.counter.tolist()):
@@ -171,12 +152,9 @@ def write_manifest(
 
 
 def read_manifest(path: str) -> dict:
-    """The JSON object in a manifest or config file; errors name the file."""
+    """The JSON object in a manifest or config file."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+        payload = json.load(fh)
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     return payload

@@ -121,7 +121,6 @@ class StreamBank:
     """
 
     def __init__(self, seed: int, n_streams: int) -> None:
-        self.seed = seed
         # stream_key(seed, k) for every k at once
         keys = _mix64_array(np.arange(1, n_streams + 1, dtype=np.uint64) * _U64_GOLDEN)
         keys ^= np.uint64(mix64(seed))

@@ -60,13 +60,13 @@ def test_lone_pe_matches_lockstep_engine_exactly(overrides):
 
 
 def test_lone_pe_samples_identically():
-    cfg = lone_pe_config()
+    cfg = lone_pe_config(sample_per_pe=3)
     det = DeterministicGrid(cfg)
     det.run()
     asy = DeterministicGrid(cfg, asynchronous=True)
     asy.run()
-    det_samples = det.sample_end_state(per_pe=3)
-    asy_samples = asy.sample_end_state(per_pe=3)
+    det_samples = det.sample_end_state()
+    asy_samples = asy.sample_end_state()
     assert [s.fields for s in det_samples] == [s.fields for s in asy_samples]
     assert [s.label for s in det_samples] == [s.label for s in asy_samples]
 
@@ -187,7 +187,6 @@ def test_tags_conserved():
     grid.run()
     final = set(grid.pop["tag"].ravel().tolist())
     assert final <= initial
-    assert grid.founder_tag_count() == len(final)
 
 
 def test_purifying_fitness_only_decays():
@@ -198,7 +197,7 @@ def test_purifying_fitness_only_decays():
 
 def test_tracked_run_yields_a_forest():
     grid = async_run(generations=50, track_perfect=True)
-    samples = grid.sample_end_state(per_pe=1)
+    samples = grid.sample_end_state()
     ids = np.array([s.tracker_id for s in samples])
     tree = grid.tracker.to_tree(ids, [s.label for s in samples])
     assert tree.n_leaves == len(samples)
@@ -208,5 +207,5 @@ def test_tracked_run_yields_a_forest():
 def test_fitness_layout_rejects_tag_queries():
     grid = DeterministicGrid(lone_pe_config(generations=1, layout="fitness"), asynchronous=True)
     grid.run()
-    with pytest.raises(ValueError, match="no founder tag"):
-        grid.founder_tag_count()
+    assert "tag" not in grid.pop
+    assert grid.sample_end_state()[0].fields.founder_tag is None

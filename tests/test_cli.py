@@ -579,6 +579,17 @@ def test_metrics_names_the_row_of_a_short_alife_row(tmp_path, capsys):
     assert f"error: {bad}: row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_metrics_refuses_a_tree_extension_before_reading(tmp_path, capsys, exists):
+    tree = tmp_path / "t.txt"
+    if exists:
+        tree.write_text("(a:1,b:1):0;\n")
+    assert main(["metrics", "--tree", str(tree)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "unsupported tree extension '.txt'; use .newick or .csv\n"
+    assert captured.out == ""
+
+
 def test_compare_reports_effect_size(tmp_path, capsys):
     for name, value in (("a1", 20), ("a2", 30), ("b1", 5), ("b2", 6)):
         (tmp_path / f"{name}.csv").write_text(f"tree,metric,value\nt,sbl,{value}\n")
@@ -635,6 +646,19 @@ def test_compare_names_the_file_row_and_field_of_a_bad_value(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {tmp_path / 'b.csv'}: row 3, field 'value': " in err
     assert "'abc'" in err
+
+
+def test_compare_refuses_a_row_that_stops_before_its_value(tmp_path, capsys):
+    (tmp_path / "a.csv").write_text("tree,metric,value\nt,sbl,1\n")
+    (tmp_path / "b.csv").write_text("tree,metric,value\nu,sbl,7\nv,sbl\nw,sbl,9\n")
+    rc = main(
+        ["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+         "--metric", "sbl"]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {tmp_path / 'b.csv'}: row 3, field 'value': missing\n"
+    assert "cliffs_delta" not in captured.out
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

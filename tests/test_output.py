@@ -28,8 +28,8 @@ def simulate(**overrides):
 
 
 def test_round_trip_recovers_every_field():
-    cfg, eng = simulate()
-    samples = eng.sample_end_state(per_pe=3)
+    cfg, eng = simulate(sample_per_pe=3)
+    samples = eng.sample_end_state()
     text = genomes_csv_text(eng.layout, samples)
     rows = read_genomes_csv(text, eng.layout, cfg.policy)
     assert len(rows) == len(samples)
@@ -51,7 +51,7 @@ def test_round_trip_recovers_every_field():
 
 def test_end_state_objects_are_frozen_and_carry_no_instance_dict():
     cfg, eng = simulate(track_perfect=True)
-    samples = eng.sample_end_state(per_pe=1)
+    samples = eng.sample_end_state()
     rows = read_genomes_csv(genomes_csv_text(eng.layout, samples), eng.layout, cfg.policy)
     for obj in (samples[0], samples[0].fields, rows[0], rows[0].records):
         assert not hasattr(obj, "__dict__")
@@ -61,8 +61,8 @@ def test_end_state_objects_are_frozen_and_carry_no_instance_dict():
 
 
 def test_fitness_layout_round_trip():
-    cfg, eng = simulate(layout="fitness", policy="steady", differentia_bits=8)
-    samples = eng.sample_end_state(per_pe=2)
+    cfg, eng = simulate(layout="fitness", policy="steady", differentia_bits=8, sample_per_pe=2)
+    samples = eng.sample_end_state()
     text = genomes_csv_text(eng.layout, samples)
     assert text.splitlines()[0] == "pe_x,pe_y,genome_hex,counter,fitness"
     rows = read_genomes_csv(text, eng.layout, cfg.policy)
@@ -78,8 +78,8 @@ def test_tagged_header_names_the_tag_column():
 
 
 def test_labels_count_rows_per_pe_in_file_order():
-    cfg, eng = simulate()
-    samples = eng.sample_end_state(per_pe=2)
+    cfg, eng = simulate(sample_per_pe=2)
+    samples = eng.sample_end_state()
     rows = read_genomes_csv(genomes_csv_text(eng.layout, samples), eng.layout, cfg.policy)
     assert [r.label for r in rows] == [
         f"pe{x}_{y}_{j}" for y in range(2) for x in range(2) for j in range(2)

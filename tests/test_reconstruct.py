@@ -1,5 +1,6 @@
 """Reconstruction from record sets, and pairwise MRCA brackets."""
 
+import time
 import warnings
 
 import pytest
@@ -233,6 +234,22 @@ def test_mrca_range_basic_bracket():
     a = from_values([5, 5, 1, 1, 1])
     b = from_values([5, 5, 2, 2, 2])
     assert estimate_mrca_range(a, b) == (1, 2)
+
+
+def test_duplicate_labels_name_the_first_label_that_repeats():
+    shared = from_values([1, 2, 3])
+    with pytest.raises(ValueError, match=r"^leaf labels must be unique; 'a' repeats$"):
+        build_forest([(shared, label) for label in "abba"])
+
+
+def test_a_late_duplicate_among_many_labels_fails_fast():
+    shared = records([(0, 1)], counter=1)
+    labels = [f"n{i}" for i in range(100_000)]
+    labels[-1] = labels[-2]
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"'n99998' repeats$"):
+        build_forest([(shared, label) for label in labels])
+    assert time.perf_counter() - started < 2.0
 
 
 def test_mrca_range_all_match_is_open_ended():

@@ -239,20 +239,26 @@ def test_alife_blank_rows_skipped():
     [
         ("", "row 1: empty file"),
         ("id,origin_time\n", "missing required column 'ancestor_list'"),
-        ("id,ancestor_list,origin_time\nx,[none],0\n", "row 2: bad id"),
+        (
+            "id,ancestor_list,origin_time\nx,[none],0\n",
+            "row 2, field 'id': invalid literal for int",
+        ),
         (
             "id,ancestor_list,origin_time\n0,[none],0\n0,[none],1\n",
             "row 3: duplicate id 0",
         ),
         (
             "id,ancestor_list,origin_time\n0,oops,0\n",
-            "ancestor_list must be",
+            r"row 2, field 'ancestor_list': must be \[none\] or \[<id>\], got 'oops'",
         ),
-        ("id,ancestor_list,origin_time\n0,[none],zero\n", "row 2: bad origin_time"),
-        ("id,ancestor_list,origin_time\n0\n", "row 2: missing ancestor_list"),
+        (
+            "id,ancestor_list,origin_time\n0,[none],zero\n",
+            "row 2, field 'origin_time': could not convert string to float: 'zero'",
+        ),
+        ("id,ancestor_list,origin_time\n0\n", "row 2, field 'ancestor_list': missing"),
         (
             "id,ancestor_list,origin_time,founder_tag\n0,[none],0,green\n",
-            "bad founder_tag 'green'",
+            r"row 2, field 'founder_tag': invalid literal for int\(\) with base 10: 'green'",
         ),
         (
             "id,ancestor_list,origin_time\n0,[none],0\n1,[2],1\n",
@@ -262,10 +268,13 @@ def test_alife_blank_rows_skipped():
             "id,ancestor_list,origin_time\n1,[2],0\n2,[1],0\n",
             "ancestry cycle",
         ),
-        ("id,ancestor_list,origin_time\n0,[none],nan\n", "row 2: non-finite origin_time"),
+        (
+            "id,ancestor_list,origin_time\n0,[none],nan\n",
+            "row 2, field 'origin_time': not a finite number: 'nan'",
+        ),
         (
             "id,ancestor_list,origin_time\n0,[none],0\n1,[0],inf\n",
-            "row 3: non-finite origin_time",
+            "row 3, field 'origin_time': not a finite number: 'inf'",
         ),
         (
             "id,ancestor_list,origin_time\n1,[0],4.5\n0,[none],5\n",
