@@ -63,14 +63,36 @@ def build_forest(
         # Sort by the values at the shared ranks, then by label: lexsort is
         # stable, so label order settles rows that match at every rank.
         entries.sort(key=lambda entry: entry[1])
-        mappings = (records.mapping() for records, _, _ in entries)
-        values = np.array([[m[rank] for rank in shared] for m in mappings])
+        values = _value_matrix([records for records, _, _ in entries], shared)
         order = np.lexsort(values.T[::-1])
         values = values[order]
         differs = values[1:] != values[:-1]
         first = np.where(differs.any(axis=1), differs.argmax(axis=1), len(shared))
         tree = _join([entries[i] for i in order.tolist()], (first - 1).tolist(), shared)
     return stitch_roots(tree) if stitch else tree
+
+
+def _value_matrix(record_sets: Sequence[RecordSet], ranks: Sequence[int]) -> np.ndarray:
+    """Row i: the values ``record_sets[i]`` holds at ``ranks``.  The sets
+    that hold one rank tuple are read as one block, their byte rows joined."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, records in enumerate(record_sets):
+        groups.setdefault(records.held, []).append(i)
+    rows: list[int] = []
+    blocks = []
+    for held, members in groups.items():
+        place = {rank: k for k, rank in enumerate(held)}
+        values = [record_sets[i].values for i in members]
+        try:
+            block = np.frombuffer(b"".join(values), np.uint8)
+        except TypeError:  # values past a byte, kept as given
+            block = np.array(values)
+        rows += members
+        blocks.append(block.reshape(len(members), len(held))[:, [place[r] for r in ranks]])
+    stacked = np.concatenate(blocks)
+    out = np.empty_like(stacked)
+    out[rows] = stacked
+    return out
 
 
 def _join(leaves: list[tuple], meets: list[int], ranks: Sequence[int]) -> PhyloTree:

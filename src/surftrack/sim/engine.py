@@ -330,10 +330,10 @@ class DeterministicGrid:
         # exactly as its to_unit uniform does, over TIE_LOW - j in the low
         # bits.  The largest key is the highest tie, the first on equality.
         if "fit" in pop:
-            draws = self.bank.draw(ids, 2 * KN)  # every candidate is scored
-            cand = streams.to_index(draws[:, :KN], K)
+            key = self.bank.draw(ids, 2 * KN)  # every candidate is scored
+            cand = streams.to_index(key[:, :KN], K)
             cand += row_base
-            key = draws[:, KN:]  # the keys are made in place of the ties
+            key = key[:, KN:]  # the keys are made in place of the ties
         else:
             # Tags all score 0, so only the ties and each winner's candidate
             # are read; the cursors still pass the whole block.
@@ -348,10 +348,15 @@ class DeterministicGrid:
             for j in range(1, n):
                 best = np.maximum(best, fit[..., j])
             key *= fit == best[..., None]  # only the fittest stay in the running
-        top = key[..., 0]
+        # Each lane's top key, reduced in one (m, K) array, becomes its
+        # winner's column.  The draw block is freed before the winners are
+        # drawn and gathered, so the step never holds it beside them.
+        col = key[..., 0].copy()
         for j in range(1, n):
-            top = np.maximum(top, key[..., j])
-        col = _TIE_LOW - (top & _TIE_LOW)
+            np.maximum(col, key[..., j], out=col)
+        del key
+        col &= _TIE_LOW
+        np.subtract(_TIE_LOW, col, out=col)
         if "fit" in pop:
             at = col.view(np.int64)
             at += self._lane_cands[:L].reshape(m, K)  # each winner's place in cand

@@ -6,6 +6,10 @@ bounded LRU cache: every record set of a given counter, from
 :meth:`SurfaceAnnotation.to_records` or :func:`surface_records`, holds
 the same ``held`` tuple.  :func:`_residency` is the same inversion
 uncached, for checks that must not read the cache.
+
+A record set's values are ``bytes``, one byte per held rank, since a
+differentia is at most 8 bits wide; :func:`surface_records` slices them
+from one gathered buffer per counter.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sites
+from .genome import byte_row
 
 #: Counters whose residency table :func:`residency` keeps cached.
 RESIDENCY_CACHE_SIZE = 1024
@@ -26,13 +31,19 @@ class RecordSet:
     """Immutable snapshot of one annotation's recoverable history.
 
     ``held`` is the resident ranks, ascending, and ``values`` the
-    differentia at them.  ``counter`` is the total number of deposits the
+    differentia at them, one byte each: any sequence of ints in 0..255
+    is stored as ``bytes``, and other values stay as given.  Indexing
+    ``bytes`` yields ints, so ``values[i]`` and :meth:`mapping` read the
+    same either way.  ``counter`` is the total number of deposits the
     annotation had seen, which doubles as the lineage's age.
     """
 
     held: tuple[int, ...]
-    values: tuple[int, ...]
+    values: bytes
     counter: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", byte_row(self.values))
 
     def ranks(self) -> tuple[int, ...]:
         return self.held
@@ -113,7 +124,7 @@ class SurfaceAnnotation:
     def to_records(self) -> RecordSet:
         """Extract the resident ranks and the differentia at them."""
         held, slots = residency(self.policy, self.slot_count, self.counter)
-        return RecordSet(held, tuple(self.slots[s] for s in slots), self.counter)
+        return RecordSet(held, bytes(self.slots[s] for s in slots), self.counter)
 
 
 @functools.lru_cache(maxsize=RESIDENCY_CACHE_SIZE)
@@ -156,7 +167,8 @@ def surface_records(
     ``counters`` is (n,) and ``surfaces`` is an (n, slot_count) uint8
     array.  Each distinct counter's residency table is read once, and its
     rank tuple is shared by every record set of that counter in the
-    process.
+    process.  The values of one counter's rows are gathered into one
+    buffer, and each record set holds its row's slice of it.
     """
     out: list[RecordSet] = [None] * len(counters)  # type: ignore[list-item]
     distinct, group = np.unique(np.asarray(counters, dtype=np.int64), return_inverse=True)
@@ -164,7 +176,8 @@ def surface_records(
     cuts = np.cumsum(np.bincount(group, minlength=len(distinct)))[:-1]
     for counter, members in zip(distinct.tolist(), np.split(rows, cuts)):
         held, slots = residency(policy, slot_count, counter)
-        values = surfaces[np.ix_(members, np.asarray(slots, dtype=np.intp))].tolist()
-        for row, vals in zip(members.tolist(), values):
-            out[row] = RecordSet(held, tuple(vals), counter)
+        block = surfaces[np.ix_(members, np.asarray(slots, dtype=np.intp))].tobytes()
+        R = len(slots)
+        for i, row in enumerate(members.tolist()):
+            out[row] = RecordSet(held, block[i * R : (i + 1) * R], counter)
     return out

@@ -19,6 +19,11 @@ Once every genome is known to be in range, packing runs once for all
 of them in one numpy pass, and :func:`unpack_genomes` decodes all of
 them in one pass too.  The scalar :func:`pack_genome` and
 :func:`unpack_genome` are one-genome calls of the same code.
+
+A slot value is at most 8 bits wide, so a decoded surface is ``bytes``,
+one byte per slot: :meth:`GenomeColumns.to_fields` slices every genome's
+surface from one copy of the surface array, and :func:`pack_genomes`
+reads all surfaces back through one join.
 """
 
 from __future__ import annotations
@@ -89,14 +94,38 @@ TAGGED = GenomeLayout("tagged")
 FITNESS = GenomeLayout("fitness")
 
 
+def byte_row(values) -> bytes:
+    """``values`` as ``bytes``, one byte per value, when every value is an
+    int in 0..255; otherwise ``values`` as given.
+
+    The values are iterated, so a buffer such as an int64 array is read
+    value by value, not as its raw memory.
+    """
+    if type(values) is bytes:
+        return values
+    try:
+        return bytes(iter(values))
+    except (TypeError, ValueError):
+        return values
+
+
 @dataclass(frozen=True, slots=True)
 class GenomeFields:
-    """Decoded contents of one genome."""
+    """Decoded contents of one genome.
+
+    ``surface`` holds one value per slot as ``bytes``: a tuple or a list
+    of ints in 0..255 is stored as ``bytes``, so it compares equal to the
+    decoded genome.  Values out of byte range stay as given, for
+    :func:`pack_genomes` to refuse with its usual message.
+    """
 
     counter: int
-    surface: tuple[int, ...]
+    surface: bytes
     founder_tag: int | None = None
     fitness: float | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "surface", byte_row(self.surface))
 
 
 @dataclass(frozen=True)
@@ -109,13 +138,15 @@ class GenomeColumns:
     fitness: np.ndarray | None = None  # (n,) float32; fitness layout only
 
     def to_fields(self) -> list[GenomeFields]:
-        none = [None] * len(self.counter)
+        """One :class:`GenomeFields` per genome, each surface a slice of
+        one ``bytes`` copy of the surface array."""
+        n, S = self.surface.shape
+        none = [None] * n
         tags = none if self.founder_tag is None else self.founder_tag.tolist()
         fits = none if self.fitness is None else self.fitness.tolist()
-        return [
-            GenomeFields(counter=c, surface=tuple(s), founder_tag=t, fitness=f)
-            for c, s, t, f in zip(self.counter.tolist(), self.surface.tolist(), tags, fits)
-        ]
+        flat = self.surface.tobytes()
+        surfaces = [flat[i : i + S] for i in range(0, n * S, S)]
+        return list(map(GenomeFields, self.counter.tolist(), surfaces, tags, fits))
 
 
 def _validate(layout: GenomeLayout, f: GenomeFields) -> None:
@@ -153,7 +184,8 @@ def pack_genomes(layout: GenomeLayout, fields: Sequence[GenomeFields]) -> np.nda
     tagged = layout.kind == "tagged"
     out["head"] = [f.founder_tag if tagged else f.fitness for f in fields]
     out["counter"] = [f.counter for f in fields]
-    surface = np.array([f.surface for f in fields], dtype=np.uint8).reshape(n, S)
+    # Every surface passed its range check, so GenomeFields holds it as bytes.
+    surface = np.frombuffer(b"".join([f.surface for f in fields]), np.uint8).reshape(n, S)
     # Slot k's value occupies bits [k*w, (k+1)*w) of the little-endian surface.
     bits = (surface[:, :, None] >> np.arange(w, dtype=np.uint8)) & 1
     out["surface"] = np.packbits(bits.reshape(n, S * w), axis=1, bitorder="little")

@@ -33,7 +33,8 @@ def test_records_len_and_mapping():
 
 def test_empty_annotation_has_no_records():
     ann = SurfaceAnnotation("steady", 16)
-    assert ann.to_records().held == ann.to_records().values == ()
+    assert ann.to_records().held == ()
+    assert ann.to_records().values == b""
     assert ann.resident_rank(0) is None
 
 

@@ -16,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surftrack import oracle
+from surftrack.sim.config import GridConfig
+from surftrack.sim.engine import DeterministicGrid, SampledGenome
+from surftrack.sim.output import genomes_csv_text, read_genomes_csv
 from surftrack.surface import sites
 from surftrack.surface.annotation import (
     RecordSet,
@@ -168,7 +171,7 @@ def test_each_check_bites_exactly_at_its_boundary(kind):
     edges = [
         good,
         GenomeFields(cap, good.surface, **head),
-        GenomeFields(0, (8,) + good.surface[1:], **head),
+        GenomeFields(0, (8,) + tuple(good.surface[1:]), **head),
         GenomeFields(0, good.surface, **over),
     ]
     for f in edges:
@@ -241,3 +244,65 @@ def test_record_sets_of_one_counter_share_their_ranks(policy):
         ann = SurfaceAnnotation(policy, 16, 8, counter=counter, slots=row)
         assert records == ann.to_records()
     assert len(first) == 4
+
+
+# -- byte rows ------------------------------------------------------------------
+
+
+def test_the_end_state_holds_byte_rows():
+    config = GridConfig(3, 3, 40, layout="tagged", differentia_bits=3, sample_per_pe=2)
+    grid = DeterministicGrid(config)
+    grid.run()
+    samples = grid.sample_end_state()
+    assert all(type(s.fields.surface) is bytes for s in samples)
+    layout = config.genome_layout()
+    blob = pack_genomes(layout, [s.fields for s in samples]).tobytes()
+    assert all(type(f.surface) is bytes for f in unpack_genomes(layout, blob).to_fields())
+    rows = read_genomes_csv(genomes_csv_text(layout, samples), layout, config.policy)
+    assert all(type(row.records.values) is bytes for row in rows)
+    first = samples[0].fields
+    ann = SurfaceAnnotation(config.policy, 64, 3, counter=first.counter, slots=list(first.surface))
+    assert type(ann.to_records().values) is bytes
+
+
+@pytest.mark.parametrize("policy", sites.POLICIES)
+@pytest.mark.parametrize("bits", [1, 3, 8])
+def test_reader_record_sets_equal_to_records(policy, bits):
+    rng = random.Random(f"{policy}-{bits}")
+    layout = GenomeLayout("tagged", 64, bits)
+    top = (1 << bits) - 1
+    anns = [
+        SurfaceAnnotation(
+            policy, 64, bits, counter=counter,
+            slots=[top] + [rng.randrange(top + 1) for _ in range(63)],
+        )
+        for counter in (0, 1, 63, 64, 500, 4000, 65535)
+    ]
+    samples = [
+        SampledGenome(0, 0, "", GenomeFields(a.counter, a.slots, founder_tag=j))
+        for j, a in enumerate(anns)
+    ]
+    rows = read_genomes_csv(genomes_csv_text(layout, samples), layout, policy)
+    assert [row.records for row in rows] == [a.to_records() for a in anns]
+    assert any(top in row.records.values for row in rows)  # 255 at 8 bits
+
+
+@pytest.mark.parametrize("bits", [1, 3, 8])
+def test_pack_reads_tuple_list_and_bytes_surfaces_alike(bits):
+    layout = GenomeLayout("fitness", 8, bits)
+    top = (1 << bits) - 1
+    surfaces = [
+        [top, 0, 1, top, 0, 0, 1, 0],
+        [top] * 7,  # too short
+        [0, 0, top + 1, 0, 0, 0, 0, 0],  # past the width, and past a byte at 8 bits
+        [0, -1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 256],
+    ]
+    for values in surfaces:
+        forms = [tuple(values), list(values)]
+        if all(0 <= v < 256 for v in values):
+            forms.append(bytes(values))
+        want = outcome(lambda: ref_pack(layout, GenomeFields(5, tuple(values), fitness=0.5)))
+        for form in forms:
+            fields = GenomeFields(5, form, fitness=0.5)
+            assert outcome(lambda: pack_genomes(layout, [fields]).tobytes()) == want
